@@ -231,84 +231,59 @@ def unpack_states_to_bits(
     return bits[:, :nbits]
 
 
-def select_states_per_block(
-    candidate_states: np.ndarray, choice: np.ndarray, block_cells: int
-) -> np.ndarray:
-    """Gather the chosen candidate's states for every block.
+#: Symbol and stored state encoded by each transition code ``symbol << 2 | stored``.
+_CODE_SYMBOL = np.arange(16, dtype=np.uint8) >> 2
+_CODE_STORED = np.arange(16, dtype=np.uint8) & 3
 
-    Parameters
-    ----------
-    candidate_states:
-        Array of shape ``(k, n, cells)`` with the cell states each candidate
-        would program.
-    choice:
-        Array of shape ``(n, blocks)`` with the winning candidate per block,
-        where ``cells == blocks * block_cells``.
-    block_cells:
-        Number of cells per block.
 
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(n, cells)`` with the per-cell states of the winner.
+def transition_codes(symbols: np.ndarray, stored_states: np.ndarray) -> np.ndarray:
+    """Per-cell transition code ``symbol << 2 | stored`` (values ``0..15``).
+
+    A coset candidate is a symbol-to-state mapping, so the cost of writing a
+    cell under any candidate depends only on the cell's symbol and stored
+    state: one 16-entry table per candidate, indexed by this code, prices
+    every cell of the batch.
     """
-    k, n, cells = candidate_states.shape
+    return (np.asarray(symbols, dtype=np.uint8) << 2) | np.asarray(stored_states, dtype=np.uint8)
+
+
+def _block_sums(
+    tables: np.ndarray,
+    codes: np.ndarray,
+    block_cells: int,
+    active_cells: Optional[int],
+    symbol_xor: Optional[np.ndarray],
+    dtype: type,
+) -> np.ndarray:
+    """Sum ``tables[i][codes]`` over every block, one candidate ``i`` at a time."""
+    n, cells = codes.shape
     blocks = cells // block_cells
-    if choice.shape != (n, blocks):
-        raise EncodingError("choice has the wrong shape for this block structure")
-    per_cell_choice = np.repeat(choice, block_cells, axis=1)
-    stacked = np.moveaxis(candidate_states, 0, -1)
-    gathered = np.take_along_axis(stacked, per_cell_choice[..., None], axis=-1)
-    return gathered[..., 0]
-
-
-def _per_candidate_energy_cells(
-    candidate: np.ndarray,
-    stored_states: np.ndarray,
-    weights: np.ndarray,
-    active_cells: int,
-) -> np.ndarray:
-    """Per-cell differential-write energy of ONE candidate (``(n, cells)``).
-
-    Cells at or past ``active_cells`` cost 0 (the WLC auxiliary region).
-    Dispatches to the active backend's fused ``diff_energy_cells`` kernel
-    when available; the numpy fallback computes the identical elementwise
-    values (gather x 1.0/0.0 mask), so both are bit-identical.
-    """
-    from ..compression.backend import get_backend, kernel_timer
-
-    backend = get_backend()
-    kernel = backend.compiled.get("diff_energy_cells")
-    if (
-        kernel is not None
-        and candidate.dtype == np.uint8
-        and stored_states.dtype == np.uint8
-        and candidate.flags.c_contiguous
-        and stored_states.flags.c_contiguous
-    ):
-        with kernel_timer(backend.name, "diff_energy_cells"):
-            return kernel(candidate, stored_states, weights, active_cells)
-    per_cell = weights[candidate] * (candidate != stored_states)
-    if active_cells < candidate.shape[1]:
-        per_cell[:, active_cells:] = 0.0
-    return per_cell
+    code_xor = None if symbol_xor is None else np.asarray(symbol_xor, dtype=np.uint8) << 2
+    sums = np.empty((len(tables), n, blocks), dtype=dtype)
+    for index, table in enumerate(tables):
+        per_cell = table[codes if code_xor is None else codes ^ code_xor[index]]
+        if active_cells is not None and active_cells < cells:
+            per_cell[:, active_cells:] = 0
+        sums[index] = per_cell.reshape(n, blocks, block_cells).sum(axis=-1)
+    return sums
 
 
 def block_energy_costs(
-    candidate_states: np.ndarray,
-    stored_states: np.ndarray,
+    mappings: np.ndarray,
+    codes: np.ndarray,
     energy_model: EnergyModel,
     block_cells: int,
     active_cells: Optional[int] = None,
+    symbol_xor: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Differential-write energy of every block under every candidate.
 
     Parameters
     ----------
-    candidate_states:
-        ``(k, n, cells)`` candidate cell states.
-    stored_states:
-        ``(n, cells)`` currently stored states.
+    mappings:
+        ``(k, 4)`` symbol-to-state mapping of each candidate.
+    codes:
+        ``(n, cells)`` transition codes from :func:`transition_codes`.
     energy_model:
         Cell energy model.
     block_cells:
@@ -317,6 +292,9 @@ def block_energy_costs(
         Cells per row that carry coset-encoded data; cells at or past this
         index contribute zero cost (WLC's reclaimed auxiliary region).
         Defaults to every cell.
+    symbol_xor:
+        Optional ``(k, cells)`` symbol pattern candidate ``i`` XORs into the
+        data before mapping it (FlipMin's coset vectors).
 
     Returns
     -------
@@ -325,59 +303,72 @@ def block_energy_costs(
 
     Notes
     -----
-    The candidate axis is processed one candidate at a time, so the float64
-    per-cell temporary is ``(n, cells)`` instead of ``(k, n, cells)`` --
-    peak memory per sweep drops by ``1/k`` with bit-identical results: each
-    output element reduces the same ``block_cells`` contiguous floats with
-    the same numpy ``.sum`` regardless of how the candidate axis is walked.
+    Entry ``s << 2 | o`` of candidate ``i``'s table is
+    ``weights[M[s]] * (M[s] != o)`` with ``M = mappings[i]`` -- the very float
+    the per-cell formula gives a cell holding state ``o`` that is written
+    symbol ``s`` -- and each block reduces the same ``block_cells``
+    contiguous floats with the same ``.sum``, so the costs are bit-identical
+    to pricing materialised candidate states cell by cell.
     """
-    k, n, cells = candidate_states.shape
-    active = cells if active_cells is None else active_cells
-    weights = energy_model.write_energy_per_state
-    costs = np.empty((k, n, cells // block_cells), dtype=np.float64)
-    for index in range(k):
-        per_cell = _per_candidate_energy_cells(
-            candidate_states[index], stored_states, weights, active
-        )
-        costs[index] = per_cell.reshape(n, cells // block_cells, block_cells).sum(axis=-1)
-    return costs
+    targets = np.asarray(mappings, dtype=np.uint8)[:, _CODE_SYMBOL]
+    tables = energy_model.write_energy_per_state[targets] * (targets != _CODE_STORED)
+    return _block_sums(tables, codes, block_cells, active_cells, symbol_xor, np.float64)
 
 
 def block_flip_costs(
-    candidate_states: np.ndarray,
-    stored_states: np.ndarray,
+    mappings: np.ndarray,
+    codes: np.ndarray,
     block_cells: int,
     active_cells: Optional[int] = None,
+    symbol_xor: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Number of rewritten cells per block under every candidate (endurance cost).
 
-    Like :func:`block_energy_costs` this walks the candidate axis one
-    candidate at a time (bounding the temporary at ``(n, cells)``) and
-    dispatches to the backend's ``flip_blocks`` kernel when one is
-    available; counts are exact integers, so any evaluation order is
-    bit-identical.
+    Takes the arguments of :func:`block_energy_costs`; each candidate's table
+    flags the transition codes whose target state differs from the stored one.
     """
-    from ..compression.backend import get_backend, kernel_timer
+    targets = np.asarray(mappings, dtype=np.uint8)[:, _CODE_SYMBOL]
+    return _block_sums(
+        targets != _CODE_STORED, codes, block_cells, active_cells, symbol_xor, np.int64
+    )
 
-    k, n, cells = candidate_states.shape
-    active = cells if active_cells is None else active_cells
-    backend = get_backend()
-    kernel = backend.compiled.get("flip_blocks")
-    flips = np.empty((k, n, cells // block_cells), dtype=np.int64)
-    for index in range(k):
-        candidate = candidate_states[index]
-        if (
-            kernel is not None
-            and candidate.dtype == np.uint8
-            and stored_states.dtype == np.uint8
-            and candidate.flags.c_contiguous
-            and stored_states.flags.c_contiguous
-        ):
-            with kernel_timer(backend.name, "flip_blocks"):
-                flips[index] = kernel(candidate, stored_states, block_cells, active)
-        else:
-            changed = candidate != stored_states
-            if active < cells:
-                changed[:, active:] = False
-            flips[index] = changed.reshape(n, cells // block_cells, block_cells).sum(axis=-1)
-    return flips
+
+def select_states_per_block(
+    mappings: np.ndarray,
+    symbols: np.ndarray,
+    choice: np.ndarray,
+    block_cells: int,
+    symbol_xor: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Map every block's symbols through its chosen candidate.
+
+    Parameters
+    ----------
+    mappings:
+        ``(k, 4)`` symbol-to-state mapping of each candidate (pass the
+        inverse mappings to turn stored states back into symbols).
+    symbols:
+        ``(n, cells)`` symbols to map.
+    choice:
+        ``(n, blocks)`` winning candidate per block, where
+        ``cells == blocks * block_cells``.
+    block_cells:
+        Number of cells per block.
+    symbol_xor:
+        Optional ``(k, cells)`` symbol pattern XORed in before mapping, as in
+        :func:`block_energy_costs`.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n, cells)`` uint8 states of the winners.
+    """
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    n, cells = symbols.shape
+    if choice.shape != (n, cells // block_cells):
+        raise EncodingError("choice has the wrong shape for this block structure")
+    per_cell_choice = np.repeat(choice.astype(np.uint8, copy=False), block_cells, axis=1)
+    if symbol_xor is not None:
+        symbols = symbols ^ np.asarray(symbol_xor)[per_cell_choice, np.arange(cells)]
+    flat = np.asarray(mappings, dtype=np.uint8).ravel()
+    return np.take(flat, (per_cell_choice << 2) | symbols)

@@ -41,6 +41,7 @@ from .base import (
     block_energy_costs,
     pack_bits_to_states,
     select_states_per_block,
+    transition_codes,
     unpack_states_to_bits,
 )
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
@@ -151,12 +152,11 @@ class COCFourCosetsEncoder(WriteEncoder):
         """Coset-encode all lines of one layout group (vectorised)."""
         if indices.size == 0:
             return
-        payload = payload_symbols[indices][:, : layout.data_cells]
-        stored = stored_states[indices][:, : layout.data_cells]
-        candidate_states = self.candidates[:, payload]
-        costs = block_energy_costs(candidate_states, stored, self.energy_model, layout.block_cells)
+        payload = payload_symbols[indices, : layout.data_cells]
+        codes = transition_codes(payload, stored_states[indices, : layout.data_cells])
+        costs = block_energy_costs(self.candidates, codes, self.energy_model, layout.block_cells)
         choice = costs.argmin(axis=0).astype(np.uint8)
-        encoded = select_states_per_block(candidate_states, choice, layout.block_cells)
+        encoded = select_states_per_block(self.candidates, payload, choice, layout.block_cells)
         choice_bits = np.zeros((indices.size, layout.aux_bits), dtype=np.uint8)
         choice_bits[:, 0::2] = choice & 1
         choice_bits[:, 1::2] = (choice >> 1) & 1
@@ -235,12 +235,10 @@ class COCFourCosetsEncoder(WriteEncoder):
         aux_states = line_states[:, layout.data_cells:layout.data_cells + layout.aux_cells]
         choice_bits = unpack_states_to_bits(aux_states, layout.aux_bits)
         choice = (choice_bits[:, 0::2] | (choice_bits[:, 1::2] << 1)).astype(np.uint8)
-        per_cell_choice = np.repeat(choice, layout.block_cells, axis=1)
-        inverse = self.inverse_candidates[per_cell_choice]
-        payload_states = line_states[:, : layout.data_cells]
-        payload_symbols = np.take_along_axis(
-            inverse, payload_states[..., None].astype(np.intp), axis=-1
-        )[..., 0]
+        payload_symbols = select_states_per_block(
+            self.inverse_candidates, line_states[:, : layout.data_cells], choice,
+            layout.block_cells,
+        )
         full_symbols = np.zeros((n, SYMBOLS_PER_LINE), dtype=np.uint8)
         full_symbols[:, : layout.data_cells] = payload_symbols
         bits = symbols_to_bits(full_symbols)

@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, flipmin_coset_vectors, invert_mapping
+from ..core.cosets import DEFAULT_MAPPING, flipmin_coset_vectors, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
@@ -27,6 +27,7 @@ from .base import (
     block_energy_costs,
     pack_bits_to_states,
     select_states_per_block,
+    transition_codes,
     unpack_states_to_bits,
 )
 
@@ -47,6 +48,11 @@ class FlipMinEncoder(WriteEncoder):
             raise ConfigurationError("num_cosets must be between 2 and 16")
         self.num_cosets = num_cosets
         self.vectors = flipmin_coset_vectors(num_cosets, seed=seed)
+        # XORing a line with a vector XORs its symbols with the vector's
+        # symbols, so every candidate is the default mapping applied to
+        # ``symbols ^ vector_symbols[i]``.
+        self.vector_symbols = words_to_symbols(self.vectors)
+        self.mappings = np.repeat(DEFAULT_MAPPING[None, :], num_cosets, axis=0)
         self.index_bits = max(1, (num_cosets - 1).bit_length())
 
     @property
@@ -54,25 +60,20 @@ class FlipMinEncoder(WriteEncoder):
         """Auxiliary cells holding the coset-vector index (four bits -> two cells)."""
         return (self.index_bits + 1) // 2
 
-    def _candidate_states(self, lines: LineBatch) -> np.ndarray:
-        """States produced by XORing the line with every coset vector."""
-        candidates = []
-        for vector in self.vectors:
-            xored = lines.words ^ vector[None, :]
-            candidates.append(apply_mapping(DEFAULT_MAPPING, words_to_symbols(xored)))
-        return np.stack(candidates)
-
     def _encode_against_states(
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self._candidate_states(lines)
+        symbols = lines.symbols()
+        codes = transition_codes(symbols, stored_states[:, :SYMBOLS_PER_LINE])
         costs = block_energy_costs(
-            candidate_states, data_stored, self.energy_model, SYMBOLS_PER_LINE
+            self.mappings, codes, self.energy_model, SYMBOLS_PER_LINE,
+            symbol_xor=self.vector_symbols,
         )
         choice = costs.argmin(axis=0)  # (n, 1)
-        data_states = select_states_per_block(candidate_states, choice, SYMBOLS_PER_LINE)
+        data_states = select_states_per_block(
+            self.mappings, symbols, choice, SYMBOLS_PER_LINE, symbol_xor=self.vector_symbols
+        )
         index_bits = np.stack(
             [((choice[:, 0] >> b) & 1).astype(np.uint8) for b in range(self.index_bits)], axis=1
         )

@@ -16,18 +16,23 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
+from ..core.cosets import DEFAULT_MAPPING, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE, complement_symbols
+from ..core.symbols import SYMBOLS_PER_LINE
 from .base import (
     WriteEncoder,
     block_energy_costs,
     pack_bits_to_states,
     select_states_per_block,
+    transition_codes,
     unpack_states_to_bits,
 )
+
+#: The two FNW candidates as mappings: the default mapping, and the default
+#: mapping of the complemented symbol (``3 - s``), i.e. the reversed table.
+FNW_MAPPINGS = np.stack([DEFAULT_MAPPING, DEFAULT_MAPPING[::-1]])
 
 
 class FNWEncoder(WriteEncoder):
@@ -45,6 +50,7 @@ class FNWEncoder(WriteEncoder):
         self.block_cells = block_bits // 2
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
         self.name = f"fnw-{block_bits}"
+        self.inverse_mappings = np.stack([invert_mapping(m) for m in FNW_MAPPINGS])
 
     @property
     def aux_cells(self) -> int:
@@ -56,13 +62,10 @@ class FNWEncoder(WriteEncoder):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
         symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        plain = apply_mapping(DEFAULT_MAPPING, symbols)
-        flipped = apply_mapping(DEFAULT_MAPPING, complement_symbols(symbols))
-        candidate_states = np.stack([plain, flipped])
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        codes = transition_codes(symbols, stored_states[:, :SYMBOLS_PER_LINE])
+        costs = block_energy_costs(FNW_MAPPINGS, codes, self.energy_model, self.block_cells)
         choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = select_states_per_block(FNW_MAPPINGS, symbols, choice, self.block_cells)
         aux_states = pack_bits_to_states(choice)
         states = np.concatenate([data_states, aux_states], axis=1)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)
@@ -76,7 +79,7 @@ class FNWEncoder(WriteEncoder):
         data_states = states[:, :SYMBOLS_PER_LINE]
         aux_states = states[:, SYMBOLS_PER_LINE:]
         flip_bits = unpack_states_to_bits(aux_states, self.num_blocks)
-        symbols = invert_mapping(DEFAULT_MAPPING)[data_states]
-        flip_per_cell = np.repeat(flip_bits, self.block_cells, axis=1).astype(bool)
-        symbols = np.where(flip_per_cell, complement_symbols(symbols), symbols)
+        symbols = select_states_per_block(
+            self.inverse_mappings, data_states, flip_bits, self.block_cells
+        )
         return LineBatch.from_symbols(symbols)

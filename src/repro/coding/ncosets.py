@@ -34,6 +34,7 @@ from .base import (
     WriteEncoder,
     block_energy_costs,
     select_states_per_block,
+    transition_codes,
 )
 
 
@@ -154,11 +155,10 @@ class NCosetsEncoder(WriteEncoder):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
         symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self.candidates[:, symbols]  # (k, n, cells)
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        codes = transition_codes(symbols, stored_states[:, :SYMBOLS_PER_LINE])
+        costs = block_energy_costs(self.candidates, codes, self.energy_model, self.block_cells)
         choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = select_states_per_block(self.candidates, symbols, choice, self.block_cells)
         aux_states = self.aux_codec.encode(choice)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)
@@ -172,10 +172,10 @@ class NCosetsEncoder(WriteEncoder):
         data_states = states[:, :SYMBOLS_PER_LINE]
         aux_states = states[:, SYMBOLS_PER_LINE:]
         choice = self.aux_codec.decode(aux_states, self.num_blocks)
-        per_cell_choice = np.repeat(choice, self.block_cells, axis=1)
-        inverse = self.inverse_candidates[per_cell_choice]  # (n, cells, 4)
-        symbols = np.take_along_axis(inverse, data_states[..., None].astype(np.intp), axis=-1)[..., 0]
-        return LineBatch.from_symbols(symbols.astype(np.uint8))
+        symbols = select_states_per_block(
+            self.inverse_candidates, data_states, choice, self.block_cells
+        )
+        return LineBatch.from_symbols(symbols)
 
 
 def make_six_cosets(granularity_bits: int = 512, energy_model: EnergyModel = DEFAULT_ENERGY_MODEL) -> NCosetsEncoder:

@@ -31,6 +31,7 @@ from .base import (
     block_energy_costs,
     pack_bits_to_states,
     select_states_per_block,
+    transition_codes,
     unpack_states_to_bits,
 )
 
@@ -76,9 +77,8 @@ class RestrictedCosetEncoder(WriteEncoder):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
         symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self.candidates[:, symbols]  # (3, n, cells)
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        codes = transition_codes(symbols, stored_states[:, :SYMBOLS_PER_LINE])
+        costs = block_energy_costs(self.candidates, codes, self.energy_model, self.block_cells)
         # costs has shape (3, n, blocks); family 0 = {C1, C2}, family 1 = {C1, C3}.
         family_costs = np.stack(
             [
@@ -90,7 +90,7 @@ class RestrictedCosetEncoder(WriteEncoder):
         alternative = np.where(family[:, None] == 0, costs[1], costs[2])  # (n, blocks)
         selector = (alternative < costs[0]).astype(np.uint8)  # (n, blocks)
         choice = FAMILY_CANDIDATES[family[:, None], selector]  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = select_states_per_block(self.candidates, symbols, choice, self.block_cells)
         bits = np.concatenate([family[:, None], selector], axis=1).astype(np.uint8)
         aux_states = pack_bits_to_states(bits)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
@@ -108,7 +108,7 @@ class RestrictedCosetEncoder(WriteEncoder):
         family = bits[:, 0]
         selector = bits[:, 1:]
         choice = FAMILY_CANDIDATES[family[:, None], selector]
-        per_cell_choice = np.repeat(choice, self.block_cells, axis=1)
-        inverse = self.inverse_candidates[per_cell_choice]
-        symbols = np.take_along_axis(inverse, data_states[..., None].astype(np.intp), axis=-1)[..., 0]
-        return LineBatch.from_symbols(symbols.astype(np.uint8))
+        symbols = select_states_per_block(
+            self.inverse_candidates, data_states, choice, self.block_cells
+        )
+        return LineBatch.from_symbols(symbols)

@@ -41,7 +41,13 @@ from ..core.symbols import (
     symbols_to_words,
     words_to_symbols,
 )
-from .base import WriteEncoder, block_energy_costs, block_flip_costs
+from .base import (
+    WriteEncoder,
+    block_energy_costs,
+    block_flip_costs,
+    select_states_per_block,
+    transition_codes,
+)
 
 #: Flag-cell state marking a compressed (encoded) line.
 FLAG_COMPRESSED_STATE = 0
@@ -56,6 +62,10 @@ class WLCWordEncoderBase(WriteEncoder):
     # decided per line, so tiled fused-metrics evaluation is bit-identical
     # to a batch encode (covers WLCRC and the WLC+cosets variants).
     supports_fused_metrics = True
+
+    #: Whether :meth:`_select_candidates` reads the per-block flip counts;
+    #: when ``False`` they are not computed and ``None`` is passed instead.
+    uses_flip_costs: bool = False
 
     def __init__(
         self,
@@ -119,7 +129,8 @@ class WLCWordEncoderBase(WriteEncoder):
         block_costs:
             ``(k, n, 8, blocks)`` per-block differential-write energies.
         block_flips:
-            ``(k, n, 8, blocks)`` per-block rewritten-cell counts.
+            ``(k, n, 8, blocks)`` per-block rewritten-cell counts, or ``None``
+            unless :attr:`uses_flip_costs` is set.
         stored_aux_values:
             ``(n, 8)`` integers currently held in the reclaimed bits of each
             stored word.  Cost ties are broken in favour of the stored
@@ -153,52 +164,43 @@ class WLCWordEncoderBase(WriteEncoder):
 
         raw_states = apply_mapping(DEFAULT_MAPPING, symbols)
 
-        word_symbols = symbols.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
+        # Words become independent rows of an (n*8, 32) code array and the
+        # auxiliary region is excluded from the costs through active_cells.
         stored_words = stored_data.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        candidate_states = self.candidates[:, word_symbols]  # (k, n, 8, 32)
-        # Per-block costs/flips via the shared per-candidate sweep helpers:
-        # words become independent rows of a (k, n*8, 32) view, the auxiliary
-        # region is excluded through active_cells, and the candidate axis is
-        # walked one candidate at a time -- bounding the float temporary at
-        # one candidate's worth.  The per-cell values and the per-block
-        # reductions are elementwise/layout-identical to the historical
-        # inline expressions, so results are bit-identical; flips are exact
-        # 0/1 sums, so the int64 count cast to float64 matches the float sum.
-        k = candidate_states.shape[0]
-        shape = (k, n, WORDS_PER_LINE, self.blocks_per_word)
-        flat_candidates = candidate_states.reshape(k, n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        flat_stored = np.ascontiguousarray(
-            stored_words.reshape(n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
+        codes = transition_codes(symbols, stored_data).reshape(
+            n * WORDS_PER_LINE, SYMBOLS_PER_WORD
         )
+        shape = (len(self.candidates), n, WORDS_PER_LINE, self.blocks_per_word)
         block_costs = block_energy_costs(
-            flat_candidates,
-            flat_stored,
+            self.candidates,
+            codes,
             self.energy_model,
             self.block_cells,
             active_cells=self.data_region_cells,
         ).reshape(shape)
-        block_flips = block_flip_costs(
-            flat_candidates,
-            flat_stored,
-            self.block_cells,
-            active_cells=self.data_region_cells,
-        ).astype(np.float64).reshape(shape)
+        block_flips = None
+        if self.uses_flip_costs:
+            # Flip counts are exact integers, so the float64 cast is exact.
+            block_flips = block_flip_costs(
+                self.candidates,
+                codes,
+                self.block_cells,
+                active_cells=self.data_region_cells,
+            ).astype(np.float64).reshape(shape)
 
         stored_aux_values = self._stored_aux_values(stored_words)
         choice, aux_values = self._select_candidates(block_costs, block_flips, stored_aux_values)
 
-        per_cell_choice = np.repeat(choice, self.block_cells, axis=2)  # (n, 8, 32)
-        stacked = np.moveaxis(candidate_states, 0, -1)  # (n, 8, 32, k)
-        encoded_states = np.take_along_axis(
-            stacked, per_cell_choice[..., None].astype(np.intp), axis=-1
-        )[..., 0]
+        encoded_states = select_states_per_block(
+            self.candidates, symbols, choice.reshape(n, -1), self.block_cells
+        ).reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
         # Auxiliary-region cells store the reclaimed bits under the default mapping.
         words_with_aux = self.wlc.insert_reclaimed(lines.words, aux_values)
         aux_symbols = words_to_symbols(words_with_aux).reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
         encoded_states[..., self.data_region_cells:] = apply_mapping(
             DEFAULT_MAPPING, aux_symbols[..., self.data_region_cells:]
         )
-        encoded_states = encoded_states.reshape(n, SYMBOLS_PER_LINE).astype(np.uint8)
+        encoded_states = encoded_states.reshape(n, SYMBOLS_PER_LINE)
 
         data_states = np.where(compressible[:, None], encoded_states, raw_states).astype(np.uint8)
         flag_states = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
@@ -234,33 +236,20 @@ class WLCWordEncoderBase(WriteEncoder):
         flag = states[:, self.flag_cell_index]
         compressed = flag == FLAG_COMPRESSED_STATE
 
-        inverse_default = invert_mapping(DEFAULT_MAPPING)
-        raw_symbols = inverse_default[data_states]
+        raw_symbols = invert_mapping(DEFAULT_MAPPING)[data_states]
 
-        word_states = data_states.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        # Recover the stored auxiliary (reclaimed-bit) values from the aux region.
-        aux_region_symbols = inverse_default[word_states[..., self.data_region_cells:]]
-        aux_region_positions = np.arange(self.data_region_cells, SYMBOLS_PER_WORD)
-        shifts = (aux_region_positions.astype(np.uint64) * np.uint64(2))
-        partial_words = (aux_region_symbols.astype(np.uint64) << shifts).sum(
-            axis=-1, dtype=np.uint64
-        )
-        aux_values = partial_words >> np.uint64(BITS_PER_WORD - self.reclaimed_bits)
+        word_shape = (n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
+        aux_values = self._stored_aux_values(data_states.reshape(word_shape))
         choice = self._choices_from_aux(aux_values)
-
-        per_cell_choice = np.repeat(choice, self.block_cells, axis=2)
-        inverse = self.inverse_candidates[per_cell_choice]  # (n, 8, 32, 4)
-        decoded_symbols = np.take_along_axis(
-            inverse, word_states[..., None].astype(np.intp), axis=-1
-        )[..., 0]
+        decoded_symbols = select_states_per_block(
+            self.inverse_candidates, data_states, choice.reshape(n, -1), self.block_cells
+        )
         # The aux region (including any data bit sharing a cell with aux bits)
         # was stored under the default mapping.
-        decoded_symbols[..., self.data_region_cells:] = aux_region_symbols
-        decoded_words = symbols_to_words(
-            decoded_symbols.reshape(n, SYMBOLS_PER_LINE).astype(np.uint8)
-        )
-        decoded_words = self.wlc.sign_extend(decoded_words)
+        aux = np.s_[..., self.data_region_cells:]
+        decoded_symbols.reshape(word_shape)[aux] = raw_symbols.reshape(word_shape)[aux]
+        decoded_words = self.wlc.sign_extend(symbols_to_words(decoded_symbols))
 
-        raw_words = symbols_to_words(raw_symbols.astype(np.uint8))
+        raw_words = symbols_to_words(raw_symbols)
         words = np.where(compressed[:, None], decoded_words, raw_words)
         return LineBatch(words)

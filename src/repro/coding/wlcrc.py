@@ -68,6 +68,7 @@ class WLCRCEncoder(WLCWordEncoderBase):
             energy_model=energy_model,
         )
         self.endurance_threshold = endurance_threshold
+        self.uses_flip_costs = endurance_threshold is not None
         #: Number of per-block selector bits stored in each word.
         self.selector_bits = min(self.blocks_per_word, self.reclaimed_bits - 1)
 

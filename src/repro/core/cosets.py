@@ -60,7 +60,7 @@ def apply_mapping(mapping: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     mapping = np.asarray(mapping, dtype=np.uint8)
     if not is_valid_mapping(mapping):
         raise ValueError(f"invalid coset mapping: {mapping!r}")
-    return mapping[np.asarray(symbols, dtype=np.uint8)]
+    return np.take(mapping, np.asarray(symbols, dtype=np.uint8))
 
 
 def invert_mapping(mapping: np.ndarray) -> np.ndarray:

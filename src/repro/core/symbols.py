@@ -46,6 +46,8 @@ BYTES_PER_WORD = 8
 SYMBOL_BIT_PATTERNS = ("00", "01", "10", "11")
 
 _SYMBOL_SHIFTS = np.arange(SYMBOLS_PER_WORD, dtype=np.uint64) * np.uint64(2)
+#: Row ``b`` holds the four symbols of byte value ``b``, low bit pair first.
+_BYTE_SYMBOLS = ((np.arange(256)[:, None] >> (2 * np.arange(4))) & 3).astype(np.uint8)
 _BYTE_SHIFTS = np.arange(BYTES_PER_WORD, dtype=np.uint64) * np.uint64(8)
 
 
@@ -72,10 +74,13 @@ def words_to_symbols(words: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Array of shape ``(..., 256)`` and dtype ``uint8`` with values in
         ``0..3``.  Symbol ``32*i + j`` holds bits ``(2j+1, 2j)`` of word ``i``.
+
+    Each line's little-endian bytes index a 256-row byte-to-symbols table,
+    so byte ``8*i + b`` yields symbols ``32*i + 4*b .. 32*i + 4*b + 3``.
     """
     arr = _as_word_array(words)
-    expanded = arr[..., :, None] >> _SYMBOL_SHIFTS
-    symbols = (expanded & np.uint64(3)).astype(np.uint8)
+    line_bytes = np.ascontiguousarray(arr, dtype="<u8").view(np.uint8)
+    symbols = np.take(_BYTE_SYMBOLS, line_bytes, axis=0)
     return symbols.reshape(arr.shape[:-1] + (SYMBOLS_PER_LINE,))
 
 

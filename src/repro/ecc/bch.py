@@ -116,17 +116,20 @@ class BCHCode:
         # Shifted-remainder table: row i is x^(i + r) mod g(x) as LSB-first
         # bits.  Systematic parity is linear over GF(2), so the parity of
         # d(x)*x^r is the XOR of these rows over the set data bits -- the
-        # vectorised form computed by parity_batch as a matmul mod 2.
-        self._remainder_table = np.array(
-            [
-                [
-                    (_gf2_poly_mod(1 << (i + self.parity_bits), self.generator_poly) >> j) & 1
-                    for j in range(self.parity_bits)
-                ]
-                for i in range(self.data_bits)
-            ],
-            dtype=np.uint8,
-        )
+        # vectorised form computed by parity_batch as a matmul mod 2.  Each
+        # row is the previous one times x mod g: one shift and, when the
+        # degree reaches r, one XOR with g.
+        remainders = []
+        remainder = _gf2_poly_mod(1 << self.parity_bits, generator)
+        for _ in range(self.data_bits):
+            remainders.append(remainder)
+            remainder <<= 1
+            if remainder >> self.parity_bits:
+                remainder ^= generator
+        shifts = np.arange(self.parity_bits, dtype=np.int64)
+        self._remainder_table = (
+            (np.array(remainders, dtype=np.int64)[:, None] >> shifts) & 1
+        ).astype(np.uint8)
 
     @property
     def codeword_bits(self) -> int:

@@ -166,9 +166,9 @@ def encode_metrics_batch(
     per-chunk-window metrics are accumulated in the same pass, and its
     states are dropped before the next tile is touched -- so peak memory is
     bounded by the tile size while the full-batch ``EncodedBatch`` (and the
-    per-candidate sweep temporaries inside the encoders, already bounded to
-    one candidate by :func:`repro.coding.base.block_energy_costs`) never
-    exist at super-batch scale.
+    transition-code and per-candidate cost temporaries of
+    :func:`repro.coding.base.block_energy_costs`) never exist at
+    super-batch scale.
 
     Bit-identity with the materialising path follows from three facts: the
     opted-in encoders (``WriteEncoder.supports_fused_metrics``) encode

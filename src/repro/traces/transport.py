@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -264,6 +264,22 @@ class TraceExporter:
 # ---------------------------------------------------------------------- #
 #: descriptor -> (keep-alive handle, attached WriteTrace); per process.
 _ATTACHED: "OrderedDict[TraceDescriptor, Tuple[object, WriteTrace]]" = OrderedDict()
+#: Evicted shared-memory handles not closed yet because a caller still holds
+#: views into them (``close()`` raises ``BufferError`` while views exist).
+_PENDING_CLOSE: List[object] = []
+
+
+def _close_pending() -> None:
+    """Close every evicted handle whose views are gone; keep the others."""
+    still_open = []
+    for handle in _PENDING_CLOSE:
+        try:
+            handle.close()
+        except BufferError:
+            still_open.append(handle)
+        except OSError:  # pragma: no cover
+            pass
+    _PENDING_CLOSE[:] = still_open
 
 
 def _attach_shm(descriptor: ShmTraceDescriptor) -> Tuple[object, WriteTrace]:
@@ -327,10 +343,10 @@ def attach_trace(descriptor: TraceDescriptor) -> WriteTrace:
         raise TraceError(f"unknown trace descriptor: {descriptor!r}")
     _ATTACHED[descriptor] = (handle, trace)
     while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
-        old_handle, _ = _ATTACHED.popitem(last=False)[1]
+        # Take only the handle: binding the evicted trace to a name would
+        # keep its views alive through the close below.
+        old_handle = _ATTACHED.popitem(last=False)[1][0]
         if old_handle is not None:
-            try:
-                old_handle.close()
-            except (BufferError, OSError):  # pragma: no cover
-                pass
+            _PENDING_CLOSE.append(old_handle)
+    _close_pending()
     return trace

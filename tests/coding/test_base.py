@@ -9,6 +9,7 @@ from repro.coding.base import (
     block_flip_costs,
     pack_bits_to_states,
     select_states_per_block,
+    transition_codes,
     unpack_states_to_bits,
 )
 from repro.coding.baseline import BaselineEncoder
@@ -33,36 +34,59 @@ class TestBitStatePacking:
             pack_bits_to_states(np.zeros(4, dtype=np.uint8))
 
 
+IDENTITY = np.arange(4, dtype=np.uint8)
+REVERSED = IDENTITY[::-1].copy()
+
+
 class TestBlockSelection:
     def test_select_states_per_block(self):
-        candidate_states = np.zeros((2, 1, 8), dtype=np.uint8)
-        candidate_states[1] = 3
+        mappings = np.stack([IDENTITY, REVERSED])
+        symbols = np.array([[0, 1, 0, 1, 2, 3, 2, 3]], dtype=np.uint8)
         choice = np.array([[0, 1, 1, 0]], dtype=np.uint8)  # four 2-cell blocks
-        selected = select_states_per_block(candidate_states, choice, 2)
-        assert selected[0].tolist() == [0, 0, 3, 3, 3, 3, 0, 0]
+        selected = select_states_per_block(mappings, symbols, choice, 2)
+        assert selected[0].tolist() == [0, 1, 3, 2, 1, 0, 2, 3]
+
+    def test_select_applies_the_chosen_symbol_xor(self):
+        mappings = np.stack([IDENTITY, IDENTITY])
+        symbol_xor = np.array([[0, 0, 0, 0], [3, 2, 1, 0]], dtype=np.uint8)
+        symbols = np.zeros((2, 4), dtype=np.uint8)
+        choice = np.array([[0], [1]], dtype=np.uint8)  # one 4-cell block
+        selected = select_states_per_block(mappings, symbols, choice, 4, symbol_xor)
+        assert selected.tolist() == [[0, 0, 0, 0], [3, 2, 1, 0]]
 
     def test_select_rejects_bad_choice_shape(self):
         with pytest.raises(EncodingError):
-            select_states_per_block(np.zeros((2, 1, 8), dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8), 2)
+            select_states_per_block(
+                np.stack([IDENTITY, REVERSED]),
+                np.zeros((1, 8), dtype=np.uint8),
+                np.zeros((1, 3), dtype=np.uint8),
+                2,
+            )
 
     def test_block_energy_costs(self):
-        # One line of 4 cells, 2 candidates, block size 2.
+        # One line of 4 cells, 2 candidates, block size 2: the identity
+        # mapping writes states (0, 0, 3, 3), the reversed one (3, 3, 0, 0).
         stored = np.zeros((1, 4), dtype=np.uint8)
-        candidate_states = np.stack([
-            np.array([[0, 0, 3, 3]], dtype=np.uint8),   # candidate 0
-            np.array([[1, 1, 0, 0]], dtype=np.uint8),   # candidate 1
-        ])
-        costs = block_energy_costs(candidate_states, stored, DEFAULT_ENERGY_MODEL, 2)
+        symbols = np.array([[0, 0, 3, 3]], dtype=np.uint8)
+        codes = transition_codes(symbols, stored)
+        costs = block_energy_costs(
+            np.stack([IDENTITY, REVERSED]), codes, DEFAULT_ENERGY_MODEL, 2
+        )
         assert costs.shape == (2, 1, 2)
         assert costs[0, 0, 0] == 0.0                   # unchanged cells cost nothing
         assert costs[0, 0, 1] == pytest.approx(2 * 583.0)
-        assert costs[1, 0, 0] == pytest.approx(2 * 56.0)
+        assert costs[1, 0, 0] == pytest.approx(2 * 583.0)
         assert costs[1, 0, 1] == 0.0
+        masked = block_energy_costs(
+            np.stack([IDENTITY]), codes, DEFAULT_ENERGY_MODEL, 2, active_cells=3
+        )
+        assert masked[0, 0].tolist() == [0.0, 583.0]   # cell 3 is past active_cells
 
     def test_block_flip_costs(self):
         stored = np.zeros((1, 4), dtype=np.uint8)
-        candidate_states = np.stack([np.array([[0, 1, 2, 0]], dtype=np.uint8)])
-        flips = block_flip_costs(candidate_states, stored, 2)
+        codes = transition_codes(np.array([[0, 1, 2, 0]], dtype=np.uint8), stored)
+        flips = block_flip_costs(np.stack([IDENTITY]), codes, 2)
+        assert flips.dtype == np.int64
         assert flips[0, 0].tolist() == [1, 1]
 
 

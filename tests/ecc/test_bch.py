@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.bch import BCHCode
+from repro.ecc.bch import BCHCode, _gf2_poly_mod
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,18 @@ class TestStructure:
         small = BCHCode(m=6, t=2, data_bits=20)
         assert small.parity_bits == 12
         assert small.codeword_bits == 32
+
+    @pytest.mark.parametrize("m,t,data_bits", [(10, 2, 492), (6, 2, 20), (5, 1, 26)])
+    def test_remainder_rows_match_long_division(self, m, t, data_bits):
+        """Row i of the incrementally built table is x^(i + r) mod g(x)."""
+        bch = BCHCode(m=m, t=t, data_bits=data_bits)
+        r = bch.parity_bits
+        expected = [
+            [(_gf2_poly_mod(1 << (i + r), bch.generator_poly) >> j) & 1 for j in range(r)]
+            for i in range(data_bits)
+        ]
+        assert bch._remainder_table.dtype == np.uint8
+        assert bch._remainder_table.tolist() == expected
 
 
 class TestEncoding:

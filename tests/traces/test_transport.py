@@ -8,6 +8,9 @@ mmap-backed and in-memory traces produce identical metrics at ``n_jobs=1``
 and ``n_jobs=4``.
 """
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from repro.core.errors import TraceError
 from repro.core.line import LineBatch
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_trace
+from repro.traces import transport as transport_module
 from repro.traces.store import load_trace, save_trace
 from repro.traces.transport import (
     MmapTraceDescriptor,
@@ -135,6 +139,54 @@ class TestExporter:
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(TraceError):
             attach_trace(object())
+
+
+@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+class TestAttachCacheEviction:
+    """Evicting a worker attachment must close its segment cleanly.
+
+    ``SharedMemory.close()`` raises ``BufferError`` while numpy views into
+    the segment are alive; a handle dropped in that state raises again from
+    ``__del__``, where Python can only report it as unraisable.
+    """
+
+    @pytest.fixture
+    def unraisable(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sys, "unraisablehook", seen.append)
+        yield seen
+        gc.collect()
+
+    def _export_past_capacity(self, exporter, extra=4):
+        traces = [
+            _trace(n=8, seed=seed)
+            for seed in range(transport_module._ATTACH_CACHE_SIZE + extra)
+        ]
+        return traces, [exporter.export(trace) for trace in traces]
+
+    def test_eviction_raises_no_unraisable_buffer_error(self, unraisable):
+        with TraceExporter("shm") as exporter:
+            traces, descriptors = self._export_past_capacity(exporter)
+            for trace, descriptor in zip(traces, descriptors):
+                assert attach_trace(descriptor).new == trace.new
+            gc.collect()
+        assert unraisable == []
+        assert transport_module._PENDING_CLOSE == []
+
+    def test_close_is_deferred_while_a_view_is_held(self, unraisable):
+        with TraceExporter("shm") as exporter:
+            traces, descriptors = self._export_past_capacity(exporter)
+            held = attach_trace(descriptors[0])
+            for descriptor in descriptors[1:]:
+                attach_trace(descriptor)
+            assert descriptors[0] not in transport_module._ATTACHED
+            assert len(transport_module._PENDING_CLOSE) == 1
+            assert held.new == traces[0].new  # the evicted views stay readable
+            del held
+            attach_trace(descriptors[0])  # the next attach closes the handle
+            assert transport_module._PENDING_CLOSE == []
+            gc.collect()
+        assert unraisable == []
 
 
 class TestEngineTransports:
