@@ -14,7 +14,7 @@ batch-over-scalar speedup -- and asserts the kernel contract:
   (whose BCH parity is one batched GF(2) reduction, not a per-line
   polynomial carry chain) run at least **5x** faster through the batch
   paths than through the per-line loops; and
-* every *available* array backend (numpy reference, numba-compiled, cupy)
+* every *available* array backend (numpy reference, numba-compiled)
   produces bit-identical batch streams, with a per-backend throughput
   column recorded for the perf gate.  Backends whose optional dependency is
   not installed are skipped; their gates are declared ``optional`` so a
@@ -180,7 +180,7 @@ def bench_encoder_throughput(benchmark):
             backends = {}
             for backend_name in available_backends():
                 with use_array_backend(backend_name):
-                    compressor.compress_batch(sub)  # warm-up (numba JIT, GPU init)
+                    compressor.compress_batch(sub)  # warm-up (numba JIT)
                     start = time.perf_counter()
                     per_backend = compressor.compress_batch(sub)
                     backends[backend_name] = time.perf_counter() - start

@@ -37,7 +37,7 @@ BASELINE_SCHEMA = 1
 #: Gate states.  ``regression``, ``missing-result`` and ``missing-metric``
 #: always fail the gate; ``missing-baseline`` and ``context-mismatch`` only
 #: warn unless strict mode is on.  For *optional* gates (metrics that only
-#: exist when an optional dependency like numba or cupy is installed) a
+#: exist when an optional dependency like numba is installed) a
 #: missing metric or missing baseline warns instead of failing, even under
 #: ``--strict`` -- a runner without the extra must not trip the perf gate.
 OK = "ok"

@@ -84,7 +84,7 @@ class BenchSpec:
     magnitudes matter, they steer the greedy bin-packing.
     ``backend_sensitive`` marks benches whose measurements depend on the
     active array backend (``repro bench ls`` surfaces them so CI legs with
-    compiled/GPU backends know what to re-run).
+    compiled backends know what to re-run).
     """
 
     figure: str

@@ -671,10 +671,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--array-backend",
         default=None,
         metavar="NAME",
-        help="array backend of the compression kernels: 'numpy' (reference), "
-        "'numba' (compiled hot kernels) or 'cupy' (GPU); results are "
-        "bit-identical for every backend, only throughput changes "
-        "(default: the REPRO_ARRAY_BACKEND env var, else numpy)",
+        help="array backend of the compression kernels: 'numpy' (reference, "
+        "the default) or 'numba' (compiled hot kernels); results are "
+        "bit-identical for every backend, only throughput changes",
     )
     parser.add_argument(
         "--superbatch",
@@ -683,7 +682,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="LINES",
         help="coalesce evaluation chunks into encoder batches of at least "
         "this many lines before encoding (results stay bit-identical; "
-        "large values feed compiled/GPU backends better)",
+        "large values feed compiled backends better)",
     )
     parser.add_argument(
         "--fused-tile-lines",
@@ -772,7 +771,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _check_array_backend(name: Optional[str]) -> Optional[int]:
     """Validate an ``--array-backend`` value; exit code 2 on a bad one.
 
-    Unknown names get the CLI's usual did-you-mean treatment; registered but
+    Unknown names get the CLI's usual did-you-mean treatment; built-in but
     unavailable backends (e.g. ``numba`` without the compiled extra
     installed) fail with the backend's own installation hint.
     """

@@ -1,30 +1,23 @@
-"""Array-backend abstraction for the compression kernel layer.
+"""Compiled-kernel override table for the batch compression kernels.
 
-PR 5 vectorised every compressor into batch kernels, but left them hard-wired
-to ``numpy``.  This module decouples the kernels from the array library: an
-:class:`ArrayBackend` bundles an array namespace (``xp``), the device/host
-transfer pair, and an optional table of compiled kernel overrides.  The
-kernel layer (:mod:`repro.compression.kernels`) and every compressor's batch
-path fetch the active backend via :func:`get_backend` and perform all array
-math through ``backend.xp``; host-side :class:`PackedBits` containers remain
-the only numpy boundary, so device arrays never leak out of the kernel layer.
+The compression kernels (:mod:`repro.compression.kernels`) and every
+compressor's batch path do their array math in numpy.  An
+:class:`ArrayBackend` only decides whether a compiled loop replaces one of
+those numpy expressions: each kernel looks its name up in
+``get_backend().compiled`` and falls back to numpy when it is absent.
 
-Three backends are registered out of the box:
+Two backends are built in:
 
 ``numpy``
-    The reference implementation.  ``xp`` is :mod:`numpy` and both transfers
-    are the identity, so this path is byte-for-byte the pre-refactor code.
+    The reference implementation: an empty override table, so every kernel
+    runs its numpy expression.
 ``numba``
-    Same arrays as numpy (host memory, ``xp`` is numpy) but the hot scalar
-    loops -- field packing/unpacking, ragged segment compaction and the
-    GF(2) XOR-reduction -- are replaced by lazily ``@njit``-compiled kernels
-    that release the GIL.  Import-guarded: registering costs nothing, the
-    first :func:`get_backend` call raises :class:`BackendUnavailableError`
-    when numba is not installed (``pip install 'wlcrc-repro[numba]'``).
-``cupy``
-    GPU execution via :mod:`cupy`; ``to_device``/``to_host`` are
-    ``cupy.asarray``/``cupy.asnumpy``.  Import-guarded like numba
-    (``pip install 'wlcrc-repro[cupy]'``).
+    The hot scalar loops -- field packing/unpacking, ragged segment
+    compaction, the GF(2) XOR-reduction and the per-cell metric kernels --
+    are replaced by lazily ``@njit``-compiled kernels that release the GIL.
+    Import-guarded: the first :func:`get_backend` call raises
+    :class:`BackendUnavailableError` when numba is not installed
+    (``pip install 'wlcrc-repro[numba]'``).
 
 Selection precedence (most specific wins):
 
@@ -33,8 +26,7 @@ Selection precedence (most specific wins):
    :func:`use_array_backend` context manager (the CLI and the evaluation
    engine route ``--array-backend`` / ``ExperimentConfig.array_backend``
    through this);
-3. the ``REPRO_ARRAY_BACKEND`` environment variable;
-4. the ``numpy`` reference backend.
+3. the ``numpy`` reference backend.
 
 Every backend must be *bit-identical* to the numpy reference -- the property
 suite in ``tests/compression/test_backends.py`` enforces this for each
@@ -45,7 +37,7 @@ throughput.
 from __future__ import annotations
 
 import difflib
-import os
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,55 +55,34 @@ __all__ = [
     "backend_names",
     "get_backend",
     "kernel_timer",
-    "register_backend",
     "set_array_backend",
     "use_array_backend",
 ]
 
-#: Environment variable consulted when no backend is selected explicitly.
-ENV_VAR = "REPRO_ARRAY_BACKEND"
-
 
 class BackendUnavailableError(ConfigurationError):
-    """A registered backend cannot be constructed (missing optional dependency)."""
+    """A built-in backend cannot be constructed (missing optional dependency)."""
 
 
 @dataclass(frozen=True)
 class ArrayBackend:
-    """One array-execution substrate for the batch compression kernels.
+    """One compiled-kernel override table for the batch compression kernels.
 
     Attributes
     ----------
     name:
-        Registry key (``numpy``, ``numba``, ``cupy``, ...).
-    xp:
-        The array namespace; must be numpy-API compatible for every
-        operation the kernels use (broadcasting shifts, fancy indexing,
-        ``repeat``/``cumsum``/``argmin``/``where``/``matmul``).
-    to_device:
-        Move a host (numpy) array onto the backend's device.  Identity for
-        host backends.
-    to_host:
-        Move a device array back to host numpy.  Identity for host backends.
+        Table key (``numpy`` or ``numba``).
     compiled:
-        Optional kernel overrides, keyed by kernel name (``pack_fields``,
+        Kernel overrides, keyed by kernel name (``pack_fields``,
         ``unpack_fields``, ``compact_fill``, ``xor_reduce``, and the per-cell
-        metric kernels ``energy_cells`` and ``disturb_cells``).  The kernel layer checks this
-        table before falling back to the ``xp`` expression, which is how the
-        numba backend swaps in its ``@njit`` loops without the call sites
-        knowing.
+        metric kernels ``energy_cells`` and ``disturb_cells``).  The kernel
+        layer checks this table before falling back to the numpy
+        expression, which is how the numba backend swaps in its ``@njit``
+        loops without the call sites knowing.
     """
 
     name: str
-    xp: Any
-    to_device: Callable[[Any], Any] = np.asarray
-    to_host: Callable[[Any], np.ndarray] = np.asarray
     compiled: Mapping[str, Callable[..., Any]] = field(default_factory=dict)
-
-    def asarray(self, array: Any, dtype: Any = None) -> Any:
-        """Device-side ``asarray`` convenience (keeps call sites terse)."""
-        moved = self.to_device(array)
-        return moved if dtype is None else self.xp.asarray(moved, dtype=dtype)
 
 
 def kernel_timer(backend_name: str, kernel: str):
@@ -126,35 +97,20 @@ def kernel_timer(backend_name: str, kernel: str):
 
 
 # --------------------------------------------------------------------------- #
-# Registry
+# Selection
 # --------------------------------------------------------------------------- #
-_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
-_INSTANCES: Dict[str, ArrayBackend] = {}
-_LOCK = threading.Lock()
 # The *active* selection is thread-local so the thread-pool evaluation
 # backend can never observe a half-switched global.
 _ACTIVE = threading.local()
 
 
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory runs lazily on first use and may raise
-    :class:`BackendUnavailableError` -- registration itself never imports
-    optional dependencies, which keeps ``import repro`` dependency-light.
-    """
-    with _LOCK:
-        _FACTORIES[name] = factory
-        _INSTANCES.pop(name, None)
-
-
 def backend_names() -> Tuple[str, ...]:
-    """Names of every *registered* backend (available or not)."""
-    return tuple(sorted(_FACTORIES))
+    """Names of every built-in backend (available or not)."""
+    return tuple(sorted(_BACKENDS))
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends that can actually be constructed."""
+    """Names of the built-in backends that can actually be constructed."""
     names = []
     for name in backend_names():
         try:
@@ -168,41 +124,28 @@ def available_backends() -> Tuple[str, ...]:
 def resolve_backend_name(name: Optional[str] = None) -> str:
     """Apply the selection precedence and validate the resulting name."""
     if name is None:
-        name = getattr(_ACTIVE, "name", None)
-    if name is None:
-        name = os.environ.get(ENV_VAR) or None
-    if name is None:
-        name = "numpy"
-    if name not in _FACTORIES:
+        name = getattr(_ACTIVE, "name", None) or "numpy"
+    if name not in _BACKENDS:
         known = backend_names()
         hints = difflib.get_close_matches(name, known, n=1)
         suggestion = f" -- did you mean '{hints[0]}'?" if hints else ""
         raise ConfigurationError(
-            f"unknown array backend '{name}'{suggestion} (registered: {', '.join(known)})"
+            f"unknown array backend '{name}'{suggestion} (built in: {', '.join(known)})"
         )
     return name
 
 
 def get_backend(name: Optional[str] = None) -> ArrayBackend:
-    """The backend selected by ``name`` / active / ``REPRO_ARRAY_BACKEND`` / numpy.
+    """The backend selected by ``name`` / the active scope / numpy.
 
     Raises
     ------
     ConfigurationError
-        For a name that is not registered (with a did-you-mean hint).
+        For a name that is not built in (with a did-you-mean hint).
     BackendUnavailableError
-        For a registered backend whose optional dependency is missing.
+        For a built-in backend whose optional dependency is missing.
     """
-    name = resolve_backend_name(name)
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    with _LOCK:
-        instance = _INSTANCES.get(name)
-        if instance is None:
-            instance = _FACTORIES[name]()
-            _INSTANCES[name] = instance
-    return instance
+    return _BACKENDS[resolve_backend_name(name)]()
 
 
 def set_array_backend(name: Optional[str]) -> None:
@@ -230,8 +173,7 @@ def use_array_backend(name: Optional[str]) -> Iterator[ArrayBackend]:
 # --------------------------------------------------------------------------- #
 # numpy -- the reference backend
 # --------------------------------------------------------------------------- #
-def _numpy_backend() -> ArrayBackend:
-    return ArrayBackend(name="numpy", xp=np)
+_NUMPY = ArrayBackend(name="numpy")
 
 
 # --------------------------------------------------------------------------- #
@@ -273,6 +215,7 @@ def _disturb_cells_impl(stored, changed, rates):
 # --------------------------------------------------------------------------- #
 # numba -- compiled host kernels (optional)
 # --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
 def _numba_backend() -> ArrayBackend:
     try:
         import numba
@@ -281,7 +224,7 @@ def _numba_backend() -> ArrayBackend:
             "array backend 'numba' needs the numba package "
             "(pip install 'wlcrc-repro[numba]')"
         ) from exc
-    return ArrayBackend(name="numba", xp=np, compiled=_compile_numba_kernels(numba))
+    return ArrayBackend(name="numba", compiled=_compile_numba_kernels(numba))
 
 
 def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
@@ -356,31 +299,9 @@ def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
     }
 
 
-# --------------------------------------------------------------------------- #
-# cupy -- GPU execution (optional)
-# --------------------------------------------------------------------------- #
-def _cupy_backend() -> ArrayBackend:
-    try:
-        import cupy
-    except ImportError as exc:  # pragma: no cover - exercised only without cupy
-        raise BackendUnavailableError(
-            "array backend 'cupy' needs the cupy package "
-            "(pip install 'wlcrc-repro[cupy]')"
-        ) from exc
-    try:
-        cupy.cuda.runtime.getDeviceCount()
-    except Exception as exc:  # pragma: no cover - cupy without a visible GPU
-        raise BackendUnavailableError(
-            "array backend 'cupy' found no usable CUDA device"
-        ) from exc
-    return ArrayBackend(
-        name="cupy",
-        xp=cupy,
-        to_device=cupy.asarray,
-        to_host=cupy.asnumpy,
-    )
-
-
-register_backend("numpy", _numpy_backend)
-register_backend("numba", _numba_backend)
-register_backend("cupy", _cupy_backend)
+#: The built-in backends, each behind a zero-argument constructor (numba's is
+#: cached and imports numba only on first use).
+_BACKENDS: Dict[str, Callable[[], ArrayBackend]] = {
+    "numpy": lambda: _NUMPY,
+    "numba": _numba_backend,
+}

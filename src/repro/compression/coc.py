@@ -27,7 +27,6 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, WORDS_PER_LINE
-from .backend import get_backend
 from .base import CompressedLine, Compressor
 from .bdi import RepeatedValueCompressor, STANDARD_BDI_VARIANTS, ZeroLineCompressor
 from .fpc import FPCCompressor
@@ -56,10 +55,9 @@ class RawLineCompressor(Compressor):
         return np.full(len(batch), BITS_PER_LINE, dtype=np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        b = get_backend()
-        bits = unpack_fields(b.to_device(batch.words), 64, backend=b)
+        bits = unpack_fields(batch.words, 64)
         return PackedBits(
-            bits=b.to_host(bits.reshape(len(batch), BITS_PER_LINE)),
+            bits=bits.reshape(len(batch), BITS_PER_LINE),
             lengths=np.full(len(batch), BITS_PER_LINE, dtype=np.int64),
             compressor=self.name,
         )
@@ -69,11 +67,8 @@ class RawLineCompressor(Compressor):
             raise CompressionError("raw stream must be at least 512 bits")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
-        grouped = b.to_device(packed.bits[:, :BITS_PER_LINE]).reshape(
-            len(packed), WORDS_PER_LINE, 64
-        )
-        return b.to_host(pack_fields(grouped, backend=b))
+        grouped = packed.bits[:, :BITS_PER_LINE].reshape(len(packed), WORDS_PER_LINE, 64)
+        return pack_fields(grouped)
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         return self.compress_batch(single_line_batch(words)).line(0)
@@ -94,41 +89,34 @@ class WordDeltaCompressor(Compressor):
         """Size when the variant applies: one full word plus seven deltas."""
         return 64 + (WORDS_PER_LINE - 1) * self.delta_bits
 
-    def _fits_device(self, words, xp) -> np.ndarray:
+    def _fits(self, words) -> np.ndarray:
         deltas = (words[:, 1:] - words[:, :1]).astype(np.int64)
         limit = 1 << (self.delta_bits - 1)
-        return xp.all((deltas >= -limit) & (deltas < limit), axis=1)
+        return np.all((deltas >= -limit) & (deltas < limit), axis=1)
 
     def fits(self, batch: LineBatch) -> np.ndarray:
         """All wrapped word-to-word deltas against word 0 fit in ``delta_bits``."""
-        b = get_backend()
-        return b.to_host(self._fits_device(b.to_device(batch.words), b.xp))
+        return self._fits(batch.words)
 
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        b = get_backend()
-        xp = b.xp
-        fits = self._fits_device(b.to_device(batch.words), xp)
-        return b.to_host(
-            xp.where(fits, self.compressed_bits, BITS_PER_LINE).astype(np.int64)
-        )
+        fits = self._fits(batch.words)
+        return np.where(fits, self.compressed_bits, BITS_PER_LINE).astype(np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        b = get_backend()
-        xp = b.xp
-        words = b.to_device(batch.words)
-        if not validated and not bool(self._fits_device(words, xp).all()):
+        words = batch.words
+        if not validated and not bool(self._fits(words).all()):
             raise CompressionError("line does not fit word-delta compression")
         mask = np.uint64((1 << self.delta_bits) - 1)
         deltas = (words[:, 1:] - words[:, :1]) & mask
-        bits = xp.concatenate(
+        bits = np.concatenate(
             [
-                unpack_fields(words[:, 0], 64, backend=b),
-                unpack_fields(deltas, self.delta_bits, backend=b).reshape(len(batch), -1),
+                unpack_fields(words[:, 0], 64),
+                unpack_fields(deltas, self.delta_bits).reshape(len(batch), -1),
             ],
             axis=1,
         )
         return PackedBits(
-            bits=b.to_host(bits),
+            bits=bits,
             lengths=np.full(len(batch), self.compressed_bits, dtype=np.int64),
             compressor=self.name,
         )
@@ -139,23 +127,20 @@ class WordDeltaCompressor(Compressor):
         n = len(packed)
         if n == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
-        xp = b.xp
-        bits = b.to_device(packed.bits)
-        base = pack_fields(bits[:, :64], backend=b)
+        bits = packed.bits
+        base = pack_fields(bits[:, :64])
         raw = pack_fields(
             bits[:, 64 : 64 + (WORDS_PER_LINE - 1) * self.delta_bits].reshape(
                 n, WORDS_PER_LINE - 1, self.delta_bits
-            ),
-            backend=b,
+            )
         )
         sign = np.uint64(1 << (self.delta_bits - 1))
         full = np.uint64(1 << self.delta_bits)
-        delta = xp.where((raw & sign).astype(bool), raw - full, raw)
-        words = xp.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
+        delta = np.where((raw & sign).astype(bool), raw - full, raw)
+        words = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
         words[:, 0] = base
         words[:, 1:] = base[:, None] + delta
-        return b.to_host(words)
+        return words
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         return self.compress_batch(single_line_batch(words)).line(0)

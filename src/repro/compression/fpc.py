@@ -18,7 +18,6 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import WORDS_PER_LINE
-from .backend import get_backend
 from .base import CompressedLine, Compressor
 from .kernels import single_line_batch, single_stream
 from .kernels import PackedBits, compact_segments, pack_fields, unpack_fields
@@ -43,31 +42,31 @@ PATTERN_NAMES = (
 )
 
 
-def line_to_words32(words: np.ndarray, xp=np) -> np.ndarray:
+def line_to_words32(words: np.ndarray) -> np.ndarray:
     """Split 64-bit words into 32-bit words (low half first)."""
-    words = xp.asarray(words, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
     low = (words & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     high = (words >> np.uint64(32)).astype(np.uint32)
-    stacked = xp.stack([low, high], axis=-1)
+    stacked = np.stack([low, high], axis=-1)
     return stacked.reshape(words.shape[:-1] + (words.shape[-1] * 2,))
 
 
-def words32_to_line(words32: np.ndarray, xp=np) -> np.ndarray:
+def words32_to_line(words32: np.ndarray) -> np.ndarray:
     """Merge 32-bit words back into 64-bit words (inverse of :func:`line_to_words32`)."""
-    words32 = xp.asarray(words32, dtype=np.uint64)
+    words32 = np.asarray(words32, dtype=np.uint64)
     pairs = words32.reshape(words32.shape[:-1] + (words32.shape[-1] // 2, 2))
     return pairs[..., 0] | (pairs[..., 1] << np.uint64(32))
 
 
-def classify_words32(words32: np.ndarray, xp=np) -> np.ndarray:
+def classify_words32(words32: np.ndarray) -> np.ndarray:
     """Assign an FPC pattern (prefix value 0..7) to every 32-bit word."""
-    w = xp.asarray(words32, dtype=np.uint32)
+    w = np.asarray(words32, dtype=np.uint32)
     signed = w.astype(np.int32)
     halves_low = (w & np.uint32(0xFFFF)).astype(np.uint16).astype(np.int16)
     halves_high = (w >> np.uint32(16)).astype(np.uint16).astype(np.int16)
-    bytes_ = xp.stack([(w >> np.uint32(8 * i)) & np.uint32(0xFF) for i in range(4)], axis=-1)
+    bytes_ = np.stack([(w >> np.uint32(8 * i)) & np.uint32(0xFF) for i in range(4)], axis=-1)
 
-    pattern = xp.full(w.shape, 7, dtype=np.uint8)
+    pattern = np.full(w.shape, 7, dtype=np.uint8)
     repeated = (bytes_[..., 0] == bytes_[..., 1]) & (bytes_[..., 1] == bytes_[..., 2]) & (
         bytes_[..., 2] == bytes_[..., 3]
     )
@@ -91,12 +90,12 @@ def classify_words32(words32: np.ndarray, xp=np) -> np.ndarray:
     return pattern
 
 
-def payloads_for_patterns(words32: np.ndarray, patterns: np.ndarray, xp=np) -> np.ndarray:
+def payloads_for_patterns(words32: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Vectorised :func:`payload_for_pattern` over aligned word/pattern arrays."""
-    w = xp.asarray(words32, dtype=np.uint32)
-    patterns = xp.asarray(patterns, dtype=np.uint8)
+    w = np.asarray(words32, dtype=np.uint32)
+    patterns = np.asarray(patterns, dtype=np.uint8)
     choices = [
-        xp.zeros_like(w),                                            # zero
+        np.zeros_like(w),                                            # zero
         w & np.uint32(0xF),                                          # 4-bit
         w & np.uint32(0xFF),                                         # byte
         w & np.uint32(0xFFFF),                                       # halfword
@@ -105,26 +104,26 @@ def payloads_for_patterns(words32: np.ndarray, patterns: np.ndarray, xp=np) -> n
         w & np.uint32(0xFF),                                         # repeated bytes
         w,                                                           # uncompressed
     ]
-    return xp.select([patterns == p for p in range(8)], choices)
+    return np.select([patterns == p for p in range(8)], choices)
 
 
-def words_from_payloads(payloads: np.ndarray, patterns: np.ndarray, xp=np) -> np.ndarray:
+def words_from_payloads(payloads: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Vectorised :func:`word_from_payload` over aligned payload/pattern arrays."""
-    p = xp.asarray(payloads, dtype=np.uint32)
-    patterns = xp.asarray(patterns, dtype=np.uint8)
+    p = np.asarray(payloads, dtype=np.uint32)
+    patterns = np.asarray(patterns, dtype=np.uint8)
 
     def sign_extend(values: np.ndarray, width: int) -> np.ndarray:
         sign = np.uint32(1 << (width - 1))
         upper = np.uint32((0xFFFFFFFF >> width) << width)
-        return xp.where((values & sign).astype(bool), values | upper, values)
+        return np.where((values & sign).astype(bool), values | upper, values)
 
     low = p & np.uint32(0xFF)
     high = (p >> np.uint32(8)) & np.uint32(0xFF)
-    low16 = xp.where((low & np.uint32(0x80)).astype(bool), low | np.uint32(0xFF00), low)
-    high16 = xp.where((high & np.uint32(0x80)).astype(bool), high | np.uint32(0xFF00), high)
+    low16 = np.where((low & np.uint32(0x80)).astype(bool), low | np.uint32(0xFF00), low)
+    high16 = np.where((high & np.uint32(0x80)).astype(bool), high | np.uint32(0xFF00), high)
     byte = p & np.uint32(0xFF)
     choices = [
-        xp.zeros_like(p),
+        np.zeros_like(p),
         sign_extend(p & np.uint32(0xF), 4),
         sign_extend(p & np.uint32(0xFF), 8),
         sign_extend(p & np.uint32(0xFFFF), 16),
@@ -133,7 +132,7 @@ def words_from_payloads(payloads: np.ndarray, patterns: np.ndarray, xp=np) -> np
         byte | (byte << np.uint32(8)) | (byte << np.uint32(16)) | (byte << np.uint32(24)),
         p,
     ]
-    return xp.select([patterns == q for q in range(8)], choices).astype(np.uint32)
+    return np.select([patterns == q for q in range(8)], choices).astype(np.uint32)
 
 
 def payload_for_pattern(word: int, pattern: int) -> int:
@@ -191,12 +190,9 @@ class FPCCompressor(Compressor):
 
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
         """Compressed size of every line: 3-bit prefix + payload per 32-bit word."""
-        b = get_backend()
-        xp = b.xp
-        words32 = line_to_words32(b.to_device(batch.words), xp=xp)
-        patterns = classify_words32(words32, xp=xp)
-        payload = xp.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
-        return b.to_host((payload + PREFIX_BITS).sum(axis=-1, dtype=np.int64))
+        patterns = classify_words32(line_to_words32(batch.words))
+        payload = np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
+        return (payload + PREFIX_BITS).sum(axis=-1, dtype=np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
         """Vectorised FPC: classify, gather payloads, compact the ragged fields.
@@ -207,55 +203,50 @@ class FPCCompressor(Compressor):
         scalar cursor loop.  FPC applies to every line, so ``validated`` is
         irrelevant here.
         """
-        b = get_backend()
-        xp = b.xp
-        words32 = line_to_words32(b.to_device(batch.words), xp=xp)
-        patterns = classify_words32(words32, xp=xp)
-        payloads = payloads_for_patterns(words32, patterns, xp=xp)
-        seg_bits = xp.concatenate(
+        words32 = line_to_words32(batch.words)
+        patterns = classify_words32(words32)
+        payloads = payloads_for_patterns(words32, patterns)
+        seg_bits = np.concatenate(
             [
-                unpack_fields(patterns.astype(np.uint64), PREFIX_BITS, backend=b),
-                unpack_fields(payloads.astype(np.uint64), 32, backend=b),
+                unpack_fields(patterns.astype(np.uint64), PREFIX_BITS),
+                unpack_fields(payloads.astype(np.uint64), 32),
             ],
             axis=-1,
         )
-        widths = PREFIX_BITS + xp.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
-        return compact_segments(seg_bits, widths, self.name, backend=b)
+        widths = PREFIX_BITS + np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
+        return compact_segments(seg_bits, widths, self.name)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         """Vectorised FPC decode: one cursor per line, sixteen lockstep steps."""
         n = len(packed)
         if n == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
-        xp = b.xp
-        bits = b.to_device(packed.bits)
-        lengths = b.to_device(packed.lengths)
-        payload_widths = xp.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)
-        cursor = xp.zeros(n, dtype=np.int64)
-        words32 = xp.zeros((n, WORDS32_PER_LINE), dtype=np.uint32)
+        bits = packed.bits
+        lengths = packed.lengths
+        payload_widths = np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)
+        cursor = np.zeros(n, dtype=np.int64)
+        words32 = np.zeros((n, WORDS32_PER_LINE), dtype=np.uint32)
         column_cap = bits.shape[1] - 1
         for i in range(WORDS32_PER_LINE):
-            if bool(xp.any(cursor + PREFIX_BITS > lengths)):
+            if bool(np.any(cursor + PREFIX_BITS > lengths)):
                 raise CompressionError("truncated FPC stream")
-            prefix_cols = cursor[:, None] + xp.arange(PREFIX_BITS, dtype=np.int64)
+            prefix_cols = cursor[:, None] + np.arange(PREFIX_BITS, dtype=np.int64)
             patterns = pack_fields(
-                xp.take_along_axis(bits, xp.minimum(prefix_cols, column_cap), axis=1),
-                backend=b,
+                np.take_along_axis(bits, np.minimum(prefix_cols, column_cap), axis=1)
             ).astype(np.uint8)
             cursor = cursor + PREFIX_BITS
             widths = payload_widths[patterns]
-            if bool(xp.any(cursor + widths > lengths)):
+            if bool(np.any(cursor + widths > lengths)):
                 raise CompressionError("truncated FPC stream")
-            payload_cols = cursor[:, None] + xp.arange(32, dtype=np.int64)
-            payload_bits = xp.take_along_axis(
-                bits, xp.minimum(payload_cols, column_cap), axis=1
+            payload_cols = cursor[:, None] + np.arange(32, dtype=np.int64)
+            payload_bits = np.take_along_axis(
+                bits, np.minimum(payload_cols, column_cap), axis=1
             )
-            payload_bits = payload_bits * (xp.arange(32, dtype=np.int64) < widths[:, None])
-            payloads = pack_fields(payload_bits, backend=b).astype(np.uint32)
+            payload_bits = payload_bits * (np.arange(32, dtype=np.int64) < widths[:, None])
+            payloads = pack_fields(payload_bits).astype(np.uint32)
             cursor = cursor + widths
-            words32[:, i] = words_from_payloads(payloads, patterns, xp=xp)
-        return b.to_host(words32_to_line(words32, xp=xp))
+            words32[:, i] = words_from_payloads(payloads, patterns)
+        return words32_to_line(words32)
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         """Produce the bit-exact FPC stream of one line."""

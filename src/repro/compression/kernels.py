@@ -18,30 +18,24 @@ same streams for a whole :class:`~repro.core.line.LineBatch` at once:
 * GF(2) matrix reduction (:func:`xor_reduce`) -- XOR of selected rows of a
   bit matrix, expressed as an integer matmul mod 2 (the BCH parity kernel).
 
-Array math is routed through the active
-:class:`~repro.compression.backend.ArrayBackend`: every kernel accepts an
-optional ``backend`` argument (defaulting to :func:`.backend.get_backend`),
-performs its work in ``backend.xp``, and consults ``backend.compiled`` for a
-substituted compiled loop.  :class:`PackedBits` is the *host* boundary: its
-``bits``/``lengths`` are always numpy arrays, so device storage never leaks
-past the kernel layer.
+Every kernel does its math in numpy and consults the active
+:class:`~repro.compression.backend.ArrayBackend`'s ``compiled`` table for a
+substituted compiled loop (see :func:`.backend.get_backend`).
 
 Dtype discipline matters here: every intermediate carries an explicit
-``uint64``/``int64``/``uint8`` dtype.  Implicit upcasts (numpy quietly
-promoting a python-int literal or a ``sum`` to platform int) are exactly the
-kind of behaviour other array libraries do *not* replicate, and they broke
-the first cupy port of :func:`compact_segments`.
+``uint64``/``int64``/``uint8`` dtype, because the compiled loops are typed
+by their inputs and must see exactly the dtypes the numpy expressions use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.errors import CompressionError
-from .backend import ArrayBackend, get_backend, kernel_timer
+from .backend import get_backend, kernel_timer
 
 __all__ = [
     "PackedBits",
@@ -69,9 +63,6 @@ class PackedBits:
         ``(n,)`` ``int64`` array of per-line stream lengths in bits.
     compressor:
         Name of the compressor that produced the streams.
-
-    ``PackedBits`` always lives in host (numpy) memory -- it is the boundary
-    across which the array backend's device storage never escapes.
     """
 
     bits: np.ndarray
@@ -137,48 +128,40 @@ def single_stream(compressed, name: str) -> PackedBits:
     return PackedBits(bits=bits, lengths=np.array([bits.shape[1]]), compressor=name)
 
 
-def unpack_fields(
-    values, width: int, backend: Optional[ArrayBackend] = None
-):
+def unpack_fields(values, width: int):
     """Unpack integers into their ``width`` least-significant bits, LSB first.
 
     ``values`` of shape ``(...,)`` becomes a ``uint8`` array of shape
     ``(..., width)``; consecutive fields of a line are meant to be unpacked
-    separately and concatenated (or reshaped) along the last axis.  Device
-    arrays stay on device.
+    separately and concatenated (or reshaped) along the last axis.
     """
-    b = backend or get_backend()
-    xp = b.xp
-    values = xp.asarray(values, dtype=xp.uint64)
+    b = get_backend()
+    values = np.asarray(values, dtype=np.uint64)
     with kernel_timer(b.name, "unpack_fields"):
         kernel = b.compiled.get("unpack_fields")
         if kernel is not None:
             return kernel(np.ascontiguousarray(values), width)
-        shifts = xp.arange(width, dtype=xp.uint64)
-        return ((values[..., None] >> shifts) & xp.uint64(1)).astype(xp.uint8)
+        shifts = np.arange(width, dtype=np.uint64)
+        return ((values[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def pack_fields(bits, backend: Optional[ArrayBackend] = None):
+def pack_fields(bits):
     """Pack LSB-first bits along the last axis back into ``uint64`` integers."""
-    b = backend or get_backend()
-    xp = b.xp
+    b = get_backend()
     # Explicit uint64 up-front: letting `<<` promote uint8 operands would
-    # produce int64 intermediates on numpy and overflow-prone uint8 math on
-    # stricter backends.
-    bits = xp.asarray(bits, dtype=xp.uint64)
+    # produce int64 intermediates.
+    bits = np.asarray(bits, dtype=np.uint64)
     if bits.shape[-1] > 64:
         raise CompressionError("cannot pack more than 64 bits into one field")
     with kernel_timer(b.name, "pack_fields"):
         kernel = b.compiled.get("pack_fields")
         if kernel is not None:
             return kernel(np.ascontiguousarray(bits))
-        shifts = xp.arange(bits.shape[-1], dtype=xp.uint64)
-        return (bits << shifts).sum(axis=-1, dtype=xp.uint64)
+        shifts = np.arange(bits.shape[-1], dtype=np.uint64)
+        return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-def compact_segments(
-    seg_bits, seg_widths, compressor: str, backend: Optional[ArrayBackend] = None
-) -> PackedBits:
+def compact_segments(seg_bits, seg_widths, compressor: str) -> PackedBits:
     """Concatenate per-line variable-width segments into dense streams.
 
     Parameters
@@ -193,26 +176,19 @@ def compact_segments(
     -------
     PackedBits
         The per-line concatenation of every segment's bits, in segment
-        order -- exactly what a scalar cursor loop would build.  The result
-        is host-resident regardless of where the inputs live.
+        order -- exactly what a scalar cursor loop would build.
     """
-    b = backend or get_backend()
-    xp = b.xp
-    seg_bits = xp.asarray(seg_bits, dtype=xp.uint8)
-    seg_widths = xp.asarray(seg_widths, dtype=xp.int64)
+    b = get_backend()
+    seg_bits = np.asarray(seg_bits, dtype=np.uint8)
+    seg_widths = np.asarray(seg_widths, dtype=np.int64)
     n, segments, max_width = seg_bits.shape
     if seg_widths.shape != (n, segments):
         raise CompressionError("segment widths must align with the segment bits")
-    if seg_widths.size and int(seg_widths.max(initial=0) if xp is np else seg_widths.max()) > max_width:
+    if seg_widths.size and int(seg_widths.max(initial=0)) > max_width:
         raise CompressionError("segment widths exceed the segment bit capacity")
-    # int64 explicitly: `sum` over int64 stays int64 on every backend, but a
-    # default-dtype reduction over smaller width arrays silently upcasts to
-    # platform int on numpy and not elsewhere.
-    lengths = seg_widths.sum(axis=1, dtype=xp.int64)
+    lengths = seg_widths.sum(axis=1, dtype=np.int64)
     if n == 0:
-        return PackedBits(
-            np.zeros((0, 0), dtype=np.uint8), b.to_host(lengths), compressor
-        )
+        return PackedBits(np.zeros((0, 0), dtype=np.uint8), lengths, compressor)
     width = int(lengths.max())
     with kernel_timer(b.name, "compact_fill"):
         kernel = b.compiled.get("compact_fill")
@@ -223,24 +199,22 @@ def compact_segments(
                 np.ascontiguousarray(seg_widths),
                 out,
             )
-            return PackedBits(out, b.to_host(lengths), compressor)
+            return PackedBits(out, lengths, compressor)
         # Row-major selection of the valid bits yields them already ordered by
         # (line, segment, bit); only the destination columns need computing.
-        valid = xp.arange(max_width, dtype=xp.int64) < seg_widths[..., None]
+        valid = np.arange(max_width, dtype=np.int64) < seg_widths[..., None]
         flat = seg_bits[valid]
-        out = xp.zeros((n, width), dtype=xp.uint8)
-        rows = xp.repeat(xp.arange(n, dtype=xp.int64), lengths)
-        starts = xp.concatenate(
-            [xp.zeros(1, dtype=xp.int64), xp.cumsum(lengths, dtype=xp.int64)[:-1]]
+        out = np.zeros((n, width), dtype=np.uint8)
+        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        starts = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)[:-1]]
         )
-        cols = xp.arange(flat.shape[0], dtype=xp.int64) - xp.repeat(starts, lengths)
+        cols = np.arange(flat.shape[0], dtype=np.int64) - np.repeat(starts, lengths)
         out[rows, cols] = flat
-        return PackedBits(b.to_host(out), b.to_host(lengths), compressor)
+        return PackedBits(out, lengths, compressor)
 
 
-def hstack_bits(
-    parts: Sequence[PackedBits], compressor: str, backend: Optional[ArrayBackend] = None
-) -> PackedBits:
+def hstack_bits(parts: Sequence[PackedBits], compressor: str) -> PackedBits:
     """Concatenate several packed-bit blocks line-wise (ragged-aware)."""
     if not parts:
         raise CompressionError("hstack_bits needs at least one part")
@@ -253,10 +227,10 @@ def hstack_bits(
             raise CompressionError("hstack_bits parts must have equal line counts")
         seg_bits[:, index, : part.bits.shape[1]] = part.bits
         seg_widths[:, index] = part.lengths
-    return compact_segments(seg_bits, seg_widths, compressor, backend=backend)
+    return compact_segments(seg_bits, seg_widths, compressor)
 
 
-def xor_reduce(bits, matrix, backend: Optional[ArrayBackend] = None):
+def xor_reduce(bits, matrix):
     """GF(2) reduction: XOR together ``matrix`` rows selected by set ``bits``.
 
     ``bits`` is ``(n, k)`` with 0/1 entries, ``matrix`` is ``(k, r)``; the
@@ -267,25 +241,24 @@ def xor_reduce(bits, matrix, backend: Optional[ArrayBackend] = None):
     with a precomputed shifted-remainder table (see
     :meth:`repro.ecc.bch.BCHCode.parity_batch`).
     """
-    b = backend or get_backend()
-    xp = b.xp
-    bits = xp.asarray(bits, dtype=xp.uint8)
-    matrix = xp.asarray(matrix, dtype=xp.uint8)
+    b = get_backend()
+    bits = np.asarray(bits, dtype=np.uint8)
+    matrix = np.asarray(matrix, dtype=np.uint8)
     if bits.ndim != 2 or matrix.ndim != 2 or bits.shape[1] != matrix.shape[0]:
         raise CompressionError(
             f"xor_reduce needs (n, k) bits and (k, r) matrix, got "
             f"{bits.shape} and {matrix.shape}"
         )
     # Empty-batch guard: an (0, k) @ (k, r) matmul is well-defined, but the
-    # compiled kernels reject zero-sized views and cupy allocates a stream
-    # for it -- short-circuit to the empty host answer instead.
+    # compiled kernels reject zero-sized views -- short-circuit to the empty
+    # answer instead.
     if bits.shape[0] == 0:
-        return xp.zeros((0, matrix.shape[1]), dtype=xp.uint8)
+        return np.zeros((0, matrix.shape[1]), dtype=np.uint8)
     with kernel_timer(b.name, "xor_reduce"):
         kernel = b.compiled.get("xor_reduce")
         if kernel is not None:
             return kernel(np.ascontiguousarray(bits), np.ascontiguousarray(matrix))
         # uint64 accumulators: popcounts along k can reach k (> 255), so the
         # matmul must not run in the uint8 input dtype.
-        products = bits.astype(xp.uint64) @ matrix.astype(xp.uint64)
-        return (products & xp.uint64(1)).astype(xp.uint8)
+        products = bits.astype(np.uint64) @ matrix.astype(np.uint64)
+        return (products & np.uint64(1)).astype(np.uint8)

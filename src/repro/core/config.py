@@ -79,9 +79,9 @@ class EvaluationConfig:
     #: When ``True`` disturbance errors are Monte-Carlo sampled instead of
     #: using the deterministic expected-value count.
     sample_disturbance: bool = False
-    #: Array backend the compression kernels run on (``"numpy"``, ``"numba"``,
-    #: ``"cupy"``); ``None`` keeps whatever backend is already active (the
-    #: ``REPRO_ARRAY_BACKEND`` env var or the numpy reference).  Results are
+    #: Array backend the compression kernels run on (``"numpy"`` or
+    #: ``"numba"``); ``None`` keeps whatever backend is already active (the
+    #: numpy reference unless a scope selected another).  Results are
     #: bit-identical for every backend -- this knob only moves throughput.
     array_backend: Optional[str] = None
     #: Coalesce streaming chunks into encoder batches of at least this many
@@ -89,7 +89,7 @@ class EvaluationConfig:
     #: Metrics are still computed per original ``chunk_size`` window with the
     #: per-chunk RNG streams and merged in chunk order, so results stay
     #: bit-identical to the per-chunk path; only the kernel batch size -- and
-    #: hence compiled/GPU backend utilisation -- changes.  ``None`` disables
+    #: hence compiled backend utilisation -- changes.  ``None`` disables
     #: coalescing (one ``encode_batch`` call per chunk, the historical
     #: behaviour).
     superbatch_size: Optional[int] = None

@@ -154,7 +154,6 @@ class BCHCode:
         keeps the DIN encode path free of per-line Python loops (see
         :func:`repro.compression.kernels.xor_reduce`).
         """
-        from ..compression.backend import get_backend
         from ..compression.kernels import xor_reduce
 
         data = np.asarray(data, dtype=np.uint8)
@@ -162,10 +161,7 @@ class BCHCode:
             raise ValueError(
                 f"expected (n, {self.data_bits}) data bits, got {data.shape}"
             )
-        backend = get_backend()
-        return backend.to_host(
-            xor_reduce(backend.to_device(data), self._remainder_table, backend=backend)
-        )
+        return xor_reduce(data, self._remainder_table)
 
     def encode(self, data: Sequence[int]) -> np.ndarray:
         """Systematic codeword: parity bits (positions ``0..r-1``) then data bits."""

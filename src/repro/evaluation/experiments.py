@@ -77,8 +77,8 @@ class ExperimentConfig:
     #: evicted after each cache miss so ``cache/`` cannot grow without
     #: bound; ``repro trace gc`` runs the same collection from the CLI.
     trace_cache_budget: Optional[int] = None
-    #: Array backend the compression kernels run on (``"numpy"``, ``"numba"``,
-    #: ``"cupy"``); ``None`` keeps whatever backend is already active.  Every
+    #: Array backend the compression kernels run on (``"numpy"`` or
+    #: ``"numba"``); ``None`` keeps whatever backend is already active.  Every
     #: backend is bit-identical to the numpy reference, so the experiment
     #: caches ignore it -- like ``n_jobs`` and ``backend``, it only moves
     #: throughput.

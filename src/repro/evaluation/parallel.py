@@ -302,12 +302,6 @@ class ParallelRunner:
     n_jobs:
         Worker processes.  ``1`` (default) runs the exact serial path in the
         current process; ``None``, ``0`` or ``-1`` use every available core.
-    executor_chunksize:
-        Historical ``Executor.map`` batching knob, accepted for backward
-        compatibility and ignored: the self-healing engine dispatches tasks
-        as individual futures so lost work can be resubmitted precisely.
-        Shards are chunk *groups* (super-batches), so per-task dispatch
-        overhead is already amortised.
     backend:
         ``"process"`` (default) fans shards out over a
         :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"`` uses a
@@ -385,7 +379,6 @@ class ParallelRunner:
     def __init__(
         self,
         n_jobs: int = 1,
-        executor_chunksize: Optional[int] = None,
         transport: str = "auto",
         persistent: bool = False,
         window: Optional[int] = None,
@@ -397,7 +390,6 @@ class ParallelRunner:
         retry_backoff_s: float = 0.1,
     ):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.executor_chunksize = executor_chunksize
         if transport not in ("auto", "mmap", "shm", "pickle"):
             raise ConfigurationError(f"unknown transport {transport!r}")
         self.transport = transport

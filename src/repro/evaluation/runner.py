@@ -213,7 +213,7 @@ def evaluate_chunk_group(
 
     This is the super-batch accumulator's unit of work, shared by the serial
     runner and the parallel engine.  The whole group feeds *one*
-    ``encode_batch`` call (so compiled/GPU array backends see >=256k-line
+    ``encode_batch`` call (so compiled array backends see >=256k-line
     batches), but the metric reduction still happens per original
     ``chunk_size`` window -- window ``i`` of the group uses ``streams[i]``,
     the very stream chunk ``first + i`` draws on the per-chunk path, and a

@@ -5,7 +5,7 @@ promises the same guarantee the array backends and the parallel engine make:
 switching it on can only change peak memory, never a single metric bit.  The
 properties here sweep every opted-in encoder family over granularities 8..512,
 chunk/tile geometries (including ragged tails and empty groups), Monte-Carlo
-disturbance sampling, every registered array backend (skip-with-reason when
+disturbance sampling, every built-in array backend (skip-with-reason when
 the optional dependency is absent), and worker counts 1 and 4 -- always
 comparing against the materialising reference path.
 
