@@ -6,6 +6,9 @@ floats) that the benchmark harness prints as a text table.  The functions are
 deterministic given an :class:`ExperimentConfig` and share a module-level
 result cache so that e.g. Figures 8, 9 and 10 (which differ only in which
 metric they read from the same evaluation) do not re-run the simulation.
+Below that, every fan-out goes through an in-memory unit tier, so a work
+unit that two drivers share (same result-store key) is also evaluated only
+once; :func:`clear_cache` empties both.
 
 The trace lengths default to a laptop-friendly size; the paper's 200-million
 line runs are unnecessary for the statistics to converge (see EXPERIMENTS.md).
@@ -94,11 +97,13 @@ class ExperimentConfig:
     fused_tile_lines: Optional[int] = 8192
     #: Optional result-store directory (see :class:`repro.serve.results
     #: .ResultStore`).  When set, every driver fan-out consults the
-    #: content-addressed result cache before dispatching and writes misses
-    #: back, so repeated figure runs -- and CI shards sharing the directory
-    #: -- stop recomputing.  Store hits are bit-identical to fresh
-    #: computation, so the in-process experiment caches ignore this knob
-    #: like they ignore ``n_jobs``.
+    #: content-addressed result cache on disk before dispatching and writes
+    #: misses back, so repeated figure runs -- and CI shards sharing the
+    #: directory -- stop recomputing across processes.  When unset, the
+    #: fan-outs use the in-memory unit tier instead (see :func:`clear_cache`),
+    #: which deduplicates identical units within one process only.  Hits of
+    #: either tier are bit-identical to fresh computation, so the in-process
+    #: experiment caches ignore this knob like they ignore ``n_jobs``.
     results_dir: Optional[str] = None
     #: Per-task watchdog (seconds) of the parallel engine: a worker task
     #: exceeding it is presumed hung and its pool is rebuilt (see
@@ -133,7 +138,7 @@ _CACHE: Dict[Tuple, object] = {}
 
 
 def clear_cache() -> None:
-    """Drop all memoised traces and evaluation results."""
+    """Drop all memoised traces, evaluation results and unit results."""
     _CACHE.clear()
 
 
@@ -146,13 +151,21 @@ def _cached(key: Tuple, builder: Callable[[], object]) -> object:
 def _runner(config: ExperimentConfig):
     """The shared runner for ``config``, with its result store (re)bound.
 
-    Every driver fan-out acquires the pool through this helper, so the
-    content-addressed result cache is consulted exactly when the caller's
-    config asks for it -- and never leaks into callers that do not.
+    Every driver fan-out acquires the pool through this helper.  With a
+    ``results_dir`` the runner consults the on-disk result store; without
+    one it consults the in-memory unit tier, so each distinct work unit
+    evaluates once per :func:`clear_cache` lifetime (Figure 3 re-uses
+    Figure 1's biased 6cosets units, Figure 5 Figure 3's 4cosets units,
+    Section VIII-D Figure 8's baseline and WLCRC-16 units, ...).  Callers
+    of :func:`shared_runner` outside the drivers bind neither.
     """
-    return shared_runner(
-        config.n_jobs, config.backend, config.results_store(), config.task_timeout
-    )
+    store = config.results_store()
+    if store is None:
+        from ..serve.results import MemoryResultStore
+
+        # Held in _CACHE, so clear_cache() drops it with the driver memos.
+        store = _cached(("unit-results",), MemoryResultStore)
+    return shared_runner(config.n_jobs, config.backend, store, config.task_timeout)
 
 
 # ---------------------------------------------------------------------- #

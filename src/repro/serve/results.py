@@ -41,11 +41,17 @@ flock-serialised read-modify-write and unique-temp-then-``os.replace``
 atomicity, so concurrent CI shards can share one store directory.  Floats
 round-trip through JSON via ``repr`` exactly, which is what makes store hits
 *bit*-identical to fresh computation, not merely close.
+
+:class:`MemoryResultStore` is the same store without the disk: one dict per
+process, keyed by the same digest.  The experiment drivers bind it whenever
+no ``--results-dir`` is given, so work units shared between figures are
+evaluated once per run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import json
 import logging
@@ -161,6 +167,21 @@ def result_cache_key(
         payload["unit_index"] = int(unit_index)
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return ResultKey(hashlib.sha256(blob).hexdigest(), payload)
+
+
+def unit_cache_key(unit: Any, unit_index: int = 0) -> Optional["ResultKey"]:
+    """The key of a :class:`~repro.evaluation.parallel.WorkUnit`.
+
+    Streaming units (a :class:`~repro.workloads.trace.ChunkSource` instead
+    of a materialised trace) return ``None``: hashing them would require a
+    full extra pass over a possibly larger-than-RAM stream, so they always
+    evaluate fresh.
+    """
+    if not isinstance(unit.trace, WriteTrace):
+        return None
+    return result_cache_key(
+        unit.encoder, unit.trace, unit.config, unit.disturbance_model, unit_index
+    )
 
 
 @dataclass(frozen=True)
@@ -333,18 +354,9 @@ class ResultStore:
         return result_cache_key(encoder, trace, config, disturbance_model, unit_index)
 
     def unit_key(self, unit: Any, unit_index: int = 0) -> Optional[ResultKey]:
-        """The key of a :class:`~repro.evaluation.parallel.WorkUnit`.
-
-        Streaming units (a :class:`~repro.workloads.trace.ChunkSource`
-        instead of a materialised trace) return ``None``: hashing them would
-        require a full extra pass over a possibly larger-than-RAM stream, so
-        they always evaluate fresh.
-        """
-        if not isinstance(unit.trace, WriteTrace):
-            return None
-        return self.key_for(
-            unit.encoder, unit.trace, unit.config, unit.disturbance_model, unit_index
-        )
+        """The key of a work unit (``None`` for streaming units), see
+        :func:`unit_cache_key`."""
+        return unit_cache_key(unit, unit_index)
 
     # ------------------------------------------------------------------ #
     # get / put / gc
@@ -499,3 +511,47 @@ class ResultStore:
     def stats(self) -> Dict[str, int]:
         """Hit/miss/corruption counters of this store instance (process-local)."""
         return {"hits": self.hits, "misses": self.misses, "corrupted": self.corrupted}
+
+
+class MemoryResultStore:
+    """An in-process result store: the experiment drivers' unit memo.
+
+    Speaks the protocol :meth:`~repro.evaluation.parallel.ParallelRunner
+    .map` uses (``unit_key`` / ``get`` / ``put`` / ``hits`` / ``misses``)
+    and derives keys with the same :func:`result_cache_key`, so a digest
+    here names exactly the evaluation a :class:`ResultStore` record would.
+    Entries are :class:`WriteMetrics` held in a dict keyed by digest; both
+    :meth:`put` and :meth:`get` copy, so a caller mutating a returned
+    object (``WriteMetrics.merge`` accumulates in place) cannot poison a
+    later hit.  Hits return the accumulators a miss computed, so they are
+    bit-identical to fresh computation without any serialisation.
+
+    The ``get``/``put`` fault sites are *not* consulted: they model on-disk
+    corruption, and leaving them to :class:`ResultStore` keeps every
+    ``--inject-faults`` plan firing at the same operations.  Lookups count
+    ``result_store{result=hit|miss,tier=memory}``.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, WriteMetrics] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def unit_key(self, unit: Any, unit_index: int = 0) -> Optional[ResultKey]:
+        return unit_cache_key(unit, unit_index)
+
+    def get(self, key: ResultKey) -> Optional[WriteMetrics]:
+        metrics = self._entries.get(key.digest)
+        if metrics is None:
+            self.misses += 1
+            count("result_store", result="miss", tier="memory")
+            return None
+        self.hits += 1
+        count("result_store", result="hit", tier="memory")
+        return copy.copy(metrics)
+
+    def put(self, key: ResultKey, metrics: WriteMetrics) -> None:
+        self._entries[key.digest] = copy.copy(metrics)
+
+    def __len__(self) -> int:
+        return len(self._entries)
