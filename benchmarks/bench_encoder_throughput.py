@@ -33,7 +33,8 @@ import time
 import numpy as np
 
 from repro.bench import BenchSpec, Gate, run_once, write_json, write_result
-from repro.coding.din import MAX_COMPRESSED_BITS, DINEncoder
+from repro.coding import make_scheme
+from repro.coding.din import MAX_COMPRESSED_BITS
 from repro.compression import (
     BDICompressor,
     COCCompressor,
@@ -198,7 +199,7 @@ def bench_encoder_throughput(benchmark):
         # parity (one GF(2) reduction over the whole batch) against the
         # per-line wrapper.  DIN has no public scalar API -- the wrapper is
         # what the PCM device model uses for single-line writes.
-        encoder = DINEncoder()
+        encoder = make_scheme("din")
         words = _din_eligible_lines(encoder, pool, lines)
         sub = LineBatch(words)
         start = time.perf_counter()

@@ -16,7 +16,7 @@ import os
 import time
 
 from repro.bench import BenchSpec, run_once, write_json, write_result
-from repro.coding.ncosets import make_six_cosets
+from repro.coding import make_scheme
 from repro.evaluation import format_series_table
 from repro.evaluation.experiments import benchmark_traces
 from repro.evaluation.sweeps import granularity_sweep
@@ -44,7 +44,7 @@ def _timed_sweep(traces, config, n_jobs, backend="process"):
     runner = ParallelRunner(n_jobs, backend=backend)
     start = time.perf_counter()
     sweep = granularity_sweep(
-        lambda g, em: make_six_cosets(g, em),
+        lambda g, em: make_scheme(f"6cosets-{g}", em),
         GRANULARITIES,
         traces,
         config.evaluation,

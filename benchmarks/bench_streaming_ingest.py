@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import BenchSpec, Gate, run_once, write_json, write_result
-from repro.coding.ncosets import make_three_cosets
+from repro.coding import make_scheme
 from repro.core.config import EvaluationConfig
 from repro.evaluation import format_series_table
 from repro.evaluation.runner import evaluate_trace
@@ -144,7 +144,7 @@ def bench_streaming_ingest(benchmark, tmp_path_factory):
     # bit-identical metrics -- the repo-level gate of the fused subsystem.
     eval_lines = min(read_trace_header(tmp / "streamed.wtrc").n_lines, FUSED_EVAL_LINES)
     trace512 = load_trace(tmp / "streamed.wtrc")[:eval_lines]
-    encoder512 = make_three_cosets(512)
+    encoder512 = make_scheme("3cosets-512")
 
     def evaluate512(tile):
         config = EvaluationConfig(

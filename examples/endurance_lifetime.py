@@ -19,7 +19,6 @@ Run with::
 import sys
 
 from repro import evaluate_trace, make_scheme
-from repro.coding.wlcrc import WLCRCEncoder
 from repro.core.metrics import WriteMetrics
 from repro.evaluation import format_series_table
 from repro.pcm import estimate_lifetime, relative_lifetime
@@ -33,8 +32,8 @@ def main() -> None:
     schemes = {
         "baseline": make_scheme("baseline"),
         "fnw": make_scheme("fnw"),
-        "wlcrc-16": WLCRCEncoder(16),
-        "wlcrc-16 multi-objective (T=1%)": WLCRCEncoder(16, endurance_threshold=0.01),
+        "wlcrc-16": make_scheme("wlcrc-16"),
+        "wlcrc-16 multi-objective (T=1%)": make_scheme("wlcrc-16-mo0.01"),
     }
 
     print(f"Evaluating {len(schemes)} schemes on {len(benchmarks)} benchmarks "

@@ -1,6 +1,16 @@
-"""Write-encoding schemes: the paper's WLCRC proposal and every baseline."""
+"""Write-encoding schemes: the paper's WLCRC proposal and every baseline.
+
+Every coset scheme -- n-cosets, 3-r-cosets, FNW, FlipMin, COC+4cosets,
+WLC+cosets and WLCRC -- is a frozen :class:`CosetSpec` of data (candidate
+mappings, block geometry, compression front end, aux codec, selection rule)
+run by the one :class:`CosetEncoder`.  The baseline and DIN, which make no
+coset choice, keep encoders of their own.  :func:`make_scheme` builds any of
+them from its paper name.
+"""
 
 from .base import (
+    FLAG_COMPRESSED_STATE,
+    FLAG_RAW_STATE,
     EncodedBatch,
     WriteEncoder,
     block_energy_costs,
@@ -10,59 +20,36 @@ from .base import (
     unpack_states_to_bits,
 )
 from .baseline import BaselineEncoder
-from .coc_cosets import COCFourCosetsEncoder
+from .coset import CosetEncoder, CosetLayout, CosetSpec
 from .din import DINEncoder, build_din_mapping
-from .flipmin import FlipMinEncoder
-from .fnw import FNWEncoder
-from .ncosets import (
-    NCosetsEncoder,
-    PairCellAuxCodec,
-    SingleCellAuxCodec,
-    make_four_cosets,
-    make_six_cosets,
-    make_three_cosets,
-)
 from .registry import (
     DEFAULT_ENDURANCE_THRESHOLD,
     FIGURE8_SCHEMES,
+    RECLAIMED_BITS_BY_GRANULARITY,
     available_schemes,
+    coset_spec,
     make_scheme,
 )
-from .restricted import RestrictedCosetEncoder
-from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE, WLCWordEncoderBase
-from .wlc_cosets import WLCNCosetsEncoder, make_wlc_four_cosets, make_wlc_three_cosets
-from .wlcrc import RECLAIMED_BITS_BY_GRANULARITY, WLCRCEncoder
 
 __all__ = [
     "BaselineEncoder",
-    "COCFourCosetsEncoder",
+    "CosetEncoder",
+    "CosetLayout",
+    "CosetSpec",
     "DEFAULT_ENDURANCE_THRESHOLD",
     "DINEncoder",
     "EncodedBatch",
     "FIGURE8_SCHEMES",
     "FLAG_COMPRESSED_STATE",
     "FLAG_RAW_STATE",
-    "FlipMinEncoder",
-    "FNWEncoder",
-    "NCosetsEncoder",
-    "PairCellAuxCodec",
     "RECLAIMED_BITS_BY_GRANULARITY",
-    "RestrictedCosetEncoder",
-    "SingleCellAuxCodec",
-    "WLCNCosetsEncoder",
-    "WLCRCEncoder",
-    "WLCWordEncoderBase",
     "WriteEncoder",
     "available_schemes",
     "block_energy_costs",
     "block_flip_costs",
     "build_din_mapping",
-    "make_four_cosets",
+    "coset_spec",
     "make_scheme",
-    "make_six_cosets",
-    "make_three_cosets",
-    "make_wlc_four_cosets",
-    "make_wlc_three_cosets",
     "pack_bits_to_states",
     "select_states_per_block",
     "unpack_states_to_bits",

@@ -37,6 +37,13 @@ from ..core.errors import EncodingError
 from ..core.line import LineBatch
 from ..core.symbols import SYMBOLS_PER_LINE
 
+#: Flag-cell state marking a line the compression front end encoded.  The
+#: flag cell of WLC, COC and DIN uses the two lowest-energy states, so it
+#: costs under 0.4 % space.
+FLAG_COMPRESSED_STATE = 0
+#: Flag-cell state marking a line written raw (compression failed).
+FLAG_RAW_STATE = 1
+
 
 @dataclass
 class EncodedBatch:

@@ -39,8 +39,7 @@ from ..core.symbols import (
     symbols_to_words,
 )
 from ..ecc.bch import BCHCode
-from .base import WriteEncoder
-from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
+from .base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE, WriteEncoder
 
 #: Bits reserved for the compressed-length header inside the encoded payload.
 LENGTH_HEADER_BITS = 9

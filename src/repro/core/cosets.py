@@ -44,9 +44,11 @@ THREE_COSETS = np.stack([C1, C2, C3])
 #: The default (identity) mapping alone; used by the differential-write baseline.
 DEFAULT_MAPPING = C1
 
-#: The two restricted coset groups of Section V: group 0 may pick C1 or C2 for
-#: each data block, group 1 may pick C1 or C3.
-RESTRICTED_GROUPS = (np.stack([C1, C2]), np.stack([C1, C3]))
+#: The two restricted coset families of Section V as indices into
+#: :data:`THREE_COSETS`: family 0 may pick C1 or C2 for each data block, family
+#: 1 may pick C1 or C3, so ``RESTRICTED_FAMILIES[family, selector]`` is the
+#: candidate a block's selector bit names.
+RESTRICTED_FAMILIES = np.array([[0, 1], [0, 2]], dtype=np.uint8)
 
 
 def is_valid_mapping(mapping: np.ndarray) -> bool:

@@ -22,10 +22,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, T
 import numpy as np
 
 from ..coding import FIGURE8_SCHEMES, make_scheme
-from ..coding.ncosets import make_four_cosets, make_six_cosets, make_three_cosets
-from ..coding.restricted import RestrictedCosetEncoder
-from ..coding.wlc_cosets import make_wlc_four_cosets, make_wlc_three_cosets
-from ..coding.wlcrc import WLCRCEncoder
 from ..core.config import EvaluationConfig, GRANULARITIES_WLC
 from ..core.cosets import FOUR_COSETS, candidate_names
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -228,6 +224,11 @@ def _group_average(values: Mapping[str, float], names: Sequence[str]) -> float:
     return float(np.mean(present)) if present else 0.0
 
 
+def _family(prefix: str) -> Callable[[int, EnergyModel], object]:
+    """Factory of the registry scheme ``<prefix>-<granularity>``."""
+    return lambda g, em: make_scheme(f"{prefix}-{g}", em)
+
+
 # ---------------------------------------------------------------------- #
 # Figures 1-5: motivation and coset candidate studies
 # ---------------------------------------------------------------------- #
@@ -242,7 +243,7 @@ def figure1(
     else:
         raise ValueError("workload must be 'random' or 'biased'")
     sweep = granularity_sweep(
-        lambda g, em: make_six_cosets(g, em),
+        _family("6cosets"),
         FIGURE1_GRANULARITIES,
         traces,
         config.evaluation,
@@ -281,7 +282,7 @@ def figure2(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
     return _coset_comparison(
         traces,
         config,
-        {"6cosets": lambda g, em: make_six_cosets(g, em), "4cosets": lambda g, em: make_four_cosets(g, em)},
+        {family: _family(family) for family in ("6cosets", "4cosets")},
         FIGURE2_GRANULARITIES,
     )
 
@@ -292,7 +293,7 @@ def figure3(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
     return _coset_comparison(
         traces,
         config,
-        {"6cosets": lambda g, em: make_six_cosets(g, em), "4cosets": lambda g, em: make_four_cosets(g, em)},
+        {family: _family(family) for family in ("6cosets", "4cosets")},
         FIGURE2_GRANULARITIES,
     )
 
@@ -314,11 +315,7 @@ def figure5(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
     return _coset_comparison(
         traces,
         config,
-        {
-            "4cosets": lambda g, em: make_four_cosets(g, em),
-            "3cosets": lambda g, em: make_three_cosets(g, em),
-            "3-r-cosets": lambda g, em: RestrictedCosetEncoder(g, em),
-        },
+        {family: _family(family) for family in ("4cosets", "3cosets", "3-r-cosets")},
         FIGURE2_GRANULARITIES,
     )
 
@@ -417,8 +414,8 @@ def section8d_multiobjective(
     def build() -> Dict[str, Dict[str, float]]:
         traces = benchmark_traces(config)
         roles = {
-            "wlcrc-16": WLCRCEncoder(16),
-            "wlcrc-16-mo": WLCRCEncoder(16, endurance_threshold=threshold),
+            "wlcrc-16": make_scheme("wlcrc-16"),
+            "wlcrc-16-mo": make_scheme(f"wlcrc-16-mo{float(threshold)!r}"),
             "baseline": make_scheme("baseline"),
         }
         units = [
@@ -466,9 +463,9 @@ def _wlc_granularity_metrics(
     def build() -> Dict[str, Dict[int, WriteMetrics]]:
         traces = benchmark_traces(config)
         families: Dict[str, Callable[[int, EnergyModel], object]] = {
-            "4cosets": lambda g, em: make_wlc_four_cosets(g, em),
-            "3cosets": lambda g, em: make_wlc_three_cosets(g, em),
-            "WLCRC": lambda g, em: WLCRCEncoder(g, em),
+            "4cosets": _family("wlc+4cosets"),
+            "3cosets": _family("wlc+3cosets"),
+            "WLCRC": _family("wlcrc"),
         }
         # One fan-out over all (family x granularity x trace) combinations.
         units = []
@@ -532,7 +529,7 @@ def figure14(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, 
     def build() -> Dict[str, Dict[str, float]]:
         traces = benchmark_traces(config)
         sweep = energy_level_sweep(
-            factory=lambda em: WLCRCEncoder(16, em),
+            factory=lambda em: make_scheme("wlcrc-16", em),
             baseline_factory=lambda em: make_scheme("baseline", em),
             traces=traces,
             config=config.evaluation,

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.coding.coc_cosets import COCFourCosetsEncoder, LAYOUT_16, LAYOUT_32
+from repro.coding import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE, make_scheme
+from repro.coding.coset import MODE_CELL
 from repro.coding.din import (
     BCH_PARITY_BITS,
     DINEncoder,
@@ -11,7 +12,6 @@ from repro.coding.din import (
     MAX_COMPRESSED_BITS,
     build_din_mapping,
 )
-from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 from repro.core.cosets import DEFAULT_MAPPING
 from repro.core.symbols import SYMBOLS_PER_LINE
 
@@ -88,38 +88,41 @@ class TestDINBehaviour:
 
 class TestCOCFourCosets:
     def test_geometry(self):
-        encoder = COCFourCosetsEncoder()
+        encoder = make_scheme("coc+4cosets")
         assert encoder.total_cells == SYMBOLS_PER_LINE + 1
-        assert LAYOUT_16.data_cells == 224 and LAYOUT_16.num_blocks == 28
-        assert LAYOUT_32.data_cells == 240 and LAYOUT_32.num_blocks == 15
+        layout16, layout32 = encoder.geometries
+        assert layout16.cells == 224 and layout16.blocks == 28
+        assert layout32.cells == 240 and layout32.blocks == 15
+        assert [layout.payload_bits for layout in encoder.spec.layouts] == [448, 480]
 
     def test_layout_fits_within_line(self):
-        for layout in (LAYOUT_16, LAYOUT_32):
-            assert layout.data_cells + layout.aux_cells <= SYMBOLS_PER_LINE - 1
+        for layout in make_scheme("coc+4cosets").geometries:
+            assert layout.cells + layout.aux_cells <= SYMBOLS_PER_LINE - 1
 
     def test_roundtrip_biased(self, biased_lines):
-        encoder = COCFourCosetsEncoder()
+        encoder = make_scheme("coc+4cosets")
         subset = biased_lines[:24]
         assert encoder.roundtrip(subset) == subset
 
     def test_roundtrip_random(self, random_lines):
-        encoder = COCFourCosetsEncoder()
+        encoder = make_scheme("coc+4cosets")
         subset = random_lines[:8]
         assert encoder.roundtrip(subset) == subset
 
     def test_compressed_fraction_high_on_biased_lines(self, biased_lines):
-        encoder = COCFourCosetsEncoder()
+        encoder = make_scheme("coc+4cosets")
         subset = biased_lines[:32]
         encoded = encoder.encode_batch(subset, subset)
         assert encoded.compressed.mean() > 0.5
 
     def test_mode_cell_distinguishes_granularities(self, biased_lines):
-        encoder = COCFourCosetsEncoder()
+        encoder = make_scheme("coc+4cosets")
         subset = biased_lines[:32]
         sizes = encoder.compressor.sizes_bits(subset)
         states = encoder.encode_reference(subset)
+        layout16, layout32 = encoder.spec.layouts
         for i in range(len(subset)):
-            if sizes[i] <= LAYOUT_16.budget_bits:
-                assert states[i, encoder.MODE_CELL] == DEFAULT_MAPPING[LAYOUT_16.mode_symbol]
-            elif sizes[i] <= LAYOUT_32.budget_bits:
-                assert states[i, encoder.MODE_CELL] == DEFAULT_MAPPING[LAYOUT_32.mode_symbol]
+            if sizes[i] <= layout16.payload_bits:
+                assert states[i, MODE_CELL] == DEFAULT_MAPPING[layout16.mode_symbol]
+            elif sizes[i] <= layout32.payload_bits:
+                assert states[i, MODE_CELL] == DEFAULT_MAPPING[layout32.mode_symbol]

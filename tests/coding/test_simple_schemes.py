@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.coding import CosetLayout, CosetSpec, make_scheme
 from repro.coding.baseline import BaselineEncoder
-from repro.coding.flipmin import FlipMinEncoder
-from repro.coding.fnw import FNWEncoder
 from repro.core.cosets import DEFAULT_MAPPING
 from repro.core.errors import ConfigurationError
 from repro.core.line import LineBatch
@@ -40,17 +39,17 @@ class TestBaseline:
 
 class TestFNW:
     def test_geometry(self):
-        encoder = FNWEncoder(128)
-        assert encoder.num_blocks == 4
+        encoder = make_scheme("fnw-128")
+        assert encoder.geometries[0].blocks == 4
         assert encoder.aux_cells == 2
         assert encoder.total_cells == 258
 
     def test_invalid_block_size(self):
         with pytest.raises(ConfigurationError):
-            FNWEncoder(100)
+            make_scheme("fnw-100")
 
     def test_roundtrip(self, biased_lines, random_lines):
-        encoder = FNWEncoder()
+        encoder = make_scheme("fnw")
         assert encoder.roundtrip(biased_lines[:20]) == biased_lines[:20]
         assert encoder.roundtrip(random_lines[:10]) == random_lines[:10]
 
@@ -61,7 +60,7 @@ class TestFNW:
         stored reference its chosen data encoding can never cost more.
         """
         baseline = BaselineEncoder()
-        fnw = FNWEncoder()
+        fnw = make_scheme("fnw")
         old, new = gcc_trace.old[:64], gcc_trace.new[:64]
         base_ref = baseline.encode_reference(old)
         base = baseline.encode_against_stored(new, base_ref)
@@ -77,7 +76,7 @@ class TestFNW:
 
     def test_all_ones_line_is_flipped_to_cheap_states(self):
         """Writing an all-ones line onto fresh cells should complement every block."""
-        encoder = FNWEncoder()
+        encoder = make_scheme("fnw")
         ones = LineBatch(np.full((1, 8), 2**64 - 1, dtype=np.uint64))
         states = encoder.encode_reference(ones)
         # Complemented data is all zeros -> state S1 everywhere in the data cells.
@@ -87,34 +86,40 @@ class TestFNW:
 
 class TestFlipMin:
     def test_geometry(self):
-        encoder = FlipMinEncoder()
-        assert encoder.num_cosets == 16
+        encoder = make_scheme("flipmin")
+        assert len(encoder.candidates) == len(encoder.spec.xor_words) == 16
         assert encoder.aux_cells == 2
 
     def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            FlipMinEncoder(num_cosets=1)
-        with pytest.raises(ConfigurationError):
-            FlipMinEncoder(num_cosets=20)
+        xor_words = make_scheme("flipmin").spec.xor_words
+        mappings = [DEFAULT_MAPPING] * 16
+        with pytest.raises(ConfigurationError):  # one vector per candidate
+            CosetSpec("x", mappings[:2], (CosetLayout(512),), xor_words=xor_words)
+        with pytest.raises(ConfigurationError):  # whole-line rows only
+            CosetSpec(
+                "x", mappings, (CosetLayout(64),), front_end="wlc", reclaimed_bits=4,
+                xor_words=xor_words,
+            )
 
     def test_roundtrip(self, biased_lines, random_lines):
-        encoder = FlipMinEncoder()
+        encoder = make_scheme("flipmin")
         assert encoder.roundtrip(biased_lines[:16]) == biased_lines[:16]
         assert encoder.roundtrip(random_lines[:16]) == random_lines[:16]
 
     def test_candidate_zero_means_identity(self):
-        encoder = FlipMinEncoder()
-        assert encoder.vectors[0].sum() == 0
+        encoder = make_scheme("flipmin")
+        assert encoder.spec.xor_words[0] == (0,) * 8
+        assert not encoder.symbol_xor[0].any()
 
-    def test_deterministic_given_seed(self, biased_lines):
-        a = FlipMinEncoder(seed=5).encode_reference(biased_lines[:4])
-        b = FlipMinEncoder(seed=5).encode_reference(biased_lines[:4])
+    def test_deterministic_vectors(self, biased_lines):
+        a = make_scheme("flipmin").encode_reference(biased_lines[:4])
+        b = make_scheme("flipmin").encode_reference(biased_lines[:4])
         assert np.array_equal(a, b)
 
     def test_fresh_write_never_worse_than_baseline(self, random_lines):
         """Against fresh cells FlipMin can always pick the zero vector."""
         baseline = BaselineEncoder()
-        flipmin = FlipMinEncoder()
+        flipmin = make_scheme("flipmin")
         base_states = baseline.encode_reference(random_lines[:32])
         flip_states = flipmin.encode_reference(random_lines[:32])[:, :256]
         weights = baseline.energy_model.write_energy_per_state

@@ -41,12 +41,13 @@ class TestTableI:
     def test_three_cosets_prefix_of_four(self):
         assert np.array_equal(cosets.THREE_COSETS, cosets.FOUR_COSETS[:3])
 
-    def test_restricted_groups_share_c1(self):
-        group_a, group_b = cosets.RESTRICTED_GROUPS
+    def test_restricted_families_share_c1(self):
+        group_a, group_b = cosets.THREE_COSETS[cosets.RESTRICTED_FAMILIES]
         assert np.array_equal(group_a[0], cosets.C1)
         assert np.array_equal(group_b[0], cosets.C1)
         assert np.array_equal(group_a[1], cosets.C2)
         assert np.array_equal(group_b[1], cosets.C3)
+        assert cosets.RESTRICTED_FAMILIES.tolist() == [[0, 1], [0, 2]]
 
 
 class TestMappingHelpers:

@@ -23,12 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import make_scheme
-from repro.coding.coc_cosets import COCFourCosetsEncoder
 from repro.coding.din import DINEncoder
-from repro.coding.ncosets import make_three_cosets
-from repro.coding.restricted import RestrictedCosetEncoder
-from repro.coding.wlc_cosets import make_wlc_three_cosets
-from repro.coding.wlcrc import WLCRCEncoder
 from repro.compression.backend import (
     BackendUnavailableError,
     backend_names,
@@ -48,18 +43,24 @@ from repro.evaluation.runner import (
 from repro.obs import observation
 from repro.workloads.generator import generate_benchmark_trace
 
-#: Candidate-sweep encoder families that opt into the fused path, spanning
-#: the coset (8..512-bit), restricted-coset, CoC and WLC-word designs.
-FUSED_ENCODERS = {
-    "3cosets-8": lambda: make_three_cosets(8),
-    "3cosets-64": lambda: make_three_cosets(64),
-    "3cosets-512": lambda: make_three_cosets(512),
-    "restricted-16": lambda: RestrictedCosetEncoder(16),
-    "restricted-256": lambda: RestrictedCosetEncoder(256),
-    "coc-4cosets": COCFourCosetsEncoder,
-    "wlc-3cosets": make_wlc_three_cosets,
-    "wlcrc-16": WLCRCEncoder,
-}
+#: Coset schemes driven through the fused path, spanning every front end,
+#: aux codec and selection rule of the one coset encoder: the coset
+#: (8..512-bit), restricted-coset, FNW, FlipMin, CoC and WLC-word designs.
+FUSED_ENCODERS = (
+    "3cosets-8",
+    "3cosets-64",
+    "3cosets-512",
+    "6cosets-16",
+    "3-r-cosets-16",
+    "3-r-cosets-256",
+    "fnw",
+    "fnw-16",
+    "flipmin",
+    "coc+4cosets",
+    "wlc+3cosets",
+    "wlcrc-16",
+    "wlcrc-16-mo",
+)
 
 #: Granularity ladder the dedicated sweep covers (satellite requirement).
 GRANULARITIES = (8, 16, 32, 64, 128, 256, 512)
@@ -103,7 +104,7 @@ class TestTileGeometry:
         assert fused_tile_size(1000, 256) == 1024
 
     def test_driver_rejects_disabled_tile(self, gcc_trace):
-        encoder = make_three_cosets(64)
+        encoder = make_scheme("3cosets-64")
         with pytest.raises(ValueError):
             list(encode_metrics_batch(encoder, gcc_trace, [None], 64, tile_lines=0))
 
@@ -111,10 +112,10 @@ class TestTileGeometry:
 class TestFusedEquality:
     """Fused == materialising, per window, for every opted-in encoder."""
 
-    @pytest.mark.parametrize("name", sorted(FUSED_ENCODERS))
+    @pytest.mark.parametrize("name", FUSED_ENCODERS)
     @pytest.mark.parametrize("sample", [False, True])
     def test_every_fused_encoder(self, name, sample):
-        encoder = FUSED_ENCODERS[name]()
+        encoder = make_scheme(name)
         assert encoder.supports_fused_metrics
         trace = generate_benchmark_trace("mcf", 1100, seed=9)  # ragged tail
         reference, fused = both_paths(
@@ -124,7 +125,7 @@ class TestFusedEquality:
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_granularity_ladder(self, granularity):
-        encoder = make_three_cosets(granularity)
+        encoder = make_scheme(f"3cosets-{granularity}")
         trace = generate_benchmark_trace("gcc", 700, seed=5)
         reference, fused = both_paths(
             encoder, trace, chunk_size=100, tile_lines=200, sample=True
@@ -138,14 +139,14 @@ class TestFusedEquality:
         assert reference == fused
 
     def test_empty_group(self):
-        encoder = make_three_cosets(64)
+        encoder = make_scheme("3cosets-64")
         trace = generate_benchmark_trace("gcc", 100, seed=3)[:0]
         assert list(encode_metrics_batch(encoder, trace, [], 64, tile_lines=64)) == []
 
     @pytest.mark.parametrize("backend_name", backend_names())
     def test_every_array_backend(self, backend_name):
         require_backend(backend_name)
-        encoder = make_three_cosets(128)
+        encoder = make_scheme("3cosets-128")
         trace = generate_benchmark_trace("libq", 900, seed=13)
         with use_array_backend(backend_name):
             reference, fused = both_paths(
@@ -163,7 +164,7 @@ class TestFusedEquality:
     def test_geometry_property(self, length, chunk_size, tile_request, sample):
         """Any (trace length, chunk, tile) geometry -- including tiles that
         cover the whole group, single-line tails and empty traces."""
-        encoder = make_three_cosets(64)
+        encoder = make_scheme("3cosets-64")
         trace = generate_benchmark_trace("mcf", max(length, 1), seed=21)[:length]
         reference, fused = both_paths(
             encoder, trace, chunk_size, tile_request, sample=sample
@@ -177,7 +178,7 @@ class TestEndToEndEquality:
     @pytest.mark.parametrize("n_jobs", [1, 4])
     @pytest.mark.parametrize("pool", ["process", "thread"])
     def test_superbatch_parallel_matrix(self, n_jobs, pool):
-        encoder = make_three_cosets(256)
+        encoder = make_scheme("3cosets-256")
         trace = generate_benchmark_trace("gcc", 1500, seed=17)
         base = EvaluationConfig(chunk_size=128, seed=17, sample_disturbance=True)
         reference = evaluate_trace(
@@ -193,7 +194,7 @@ class TestEndToEndEquality:
         # The shipped defaults (chunk group 2048 <= tile 8192) must keep the
         # single-encode path; explicit superbatching above one tile must not
         # change the numbers.
-        encoder = make_three_cosets(64)
+        encoder = make_scheme("3cosets-64")
         trace = generate_benchmark_trace("libq", 1200, seed=23)
         default = evaluate_trace(encoder, trace, EvaluationConfig(chunk_size=128))
         disabled = evaluate_trace(
@@ -236,7 +237,7 @@ class TestMetricsRewrite:
 
 class TestObservability:
     def test_peak_memory_gauges_recorded(self):
-        encoder = make_three_cosets(64)
+        encoder = make_scheme("3cosets-64")
         trace = generate_benchmark_trace("gcc", 600, seed=3)
         config = EvaluationConfig(
             chunk_size=64, superbatch_size=600, fused_tile_lines=128
@@ -262,7 +263,7 @@ class TestPeakMemory:
         """CI memory smoke: at 512-bit granularity a superbatched group must
         evaluate with a decisively smaller tracemalloc peak when tiled, and
         with exactly the same metrics."""
-        encoder = make_three_cosets(512)
+        encoder = make_scheme("3cosets-512")
         trace = generate_benchmark_trace("mcf", 8192, seed=29)
         chunk = 512
 

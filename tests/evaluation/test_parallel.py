@@ -14,7 +14,6 @@ from repro.coding import available_schemes, make_scheme
 from repro.core.config import EvaluationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import WriteMetrics
-from repro.coding.ncosets import make_six_cosets
 from repro.evaluation.parallel import ParallelRunner, WorkUnit, resolve_n_jobs
 from repro.evaluation.runner import (
     evaluate_benchmarks,
@@ -150,7 +149,7 @@ class TestRewiredHelpers:
         """Acceptance: >= 4 granularities, parallel identical to serial."""
         traces = {"gcc": gcc_trace[:96], "libq": libq_trace[:96]}
         def factory(g, em):
-            return make_six_cosets(g, em)
+            return make_scheme(f"6cosets-{g}", em)
         granularities = (8, 16, 32, 64)
         serial = granularity_sweep(factory, granularities, traces, CONFIG)
         parallel = granularity_sweep(factory, granularities, traces, CONFIG, n_jobs=4)
@@ -161,7 +160,7 @@ class TestRewiredHelpers:
     def test_granularity_sweep_monte_carlo_equivalence(self, gcc_trace):
         traces = {"gcc": gcc_trace[:96]}
         def factory(g, em):
-            return make_six_cosets(g, em)
+            return make_scheme(f"6cosets-{g}", em)
         serial = granularity_sweep(factory, (16, 32), traces, MC_CONFIG)
         parallel = granularity_sweep(factory, (16, 32), traces, MC_CONFIG, n_jobs=2)
         assert serial == parallel

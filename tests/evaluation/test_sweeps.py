@@ -1,7 +1,6 @@
 """Tests of the sweep helpers (granularity, energy levels, compression coverage)."""
 
-from repro.coding.ncosets import make_six_cosets
-from repro.coding.wlcrc import WLCRCEncoder
+from repro.coding import make_scheme
 from repro.coding.baseline import BaselineEncoder
 from repro.core.config import EvaluationConfig
 from repro.core.energy import figure14_energy_models
@@ -14,7 +13,7 @@ class TestGranularitySweep:
     def test_sweep_keys_and_trend(self, gcc_trace):
         traces = {"gcc": gcc_trace[:96]}
         sweep = granularity_sweep(
-            lambda g, em: make_six_cosets(g, em), (16, 512), traces, CONFIG
+            lambda g, em: make_scheme(f"6cosets-{g}", em), (16, 512), traces, CONFIG
         )
         assert set(sweep) == {16, 512}
         # Figure 1 trend: finer granularity lowers the data-symbol energy.
@@ -26,7 +25,7 @@ class TestEnergyLevelSweep:
     def test_four_levels_and_positive_improvement(self, gcc_trace):
         traces = {"gcc": gcc_trace[:96]}
         sweep = energy_level_sweep(
-            factory=lambda em: WLCRCEncoder(16, em),
+            factory=lambda em: make_scheme("wlcrc-16", em),
             baseline_factory=lambda em: BaselineEncoder(em),
             traces=traces,
             config=CONFIG,
@@ -40,7 +39,7 @@ class TestEnergyLevelSweep:
         """Figure 14: cheaper S3/S4 reduce (but do not erase) WLCRC's advantage."""
         traces = {"gcc": gcc_trace[:96]}
         sweep = energy_level_sweep(
-            factory=lambda em: WLCRCEncoder(16, em),
+            factory=lambda em: make_scheme("wlcrc-16", em),
             baseline_factory=lambda em: BaselineEncoder(em),
             traces=traces,
             config=CONFIG,

@@ -128,6 +128,8 @@ class TestErrorMapping:
         "request_payload, status, code",
         [
             ({"scheme": "no-such-scheme", "trace": {"profile": "gcc"}}, 404, "unknown_scheme"),
+            ({"scheme": "fnw-0", "trace": {"profile": "gcc"}}, 404, "unknown_scheme"),
+            ({"scheme": "fnw-abc", "trace": {"profile": "gcc"}}, 404, "unknown_scheme"),
             ({"trace": {"profile": "gcc"}}, 400, "bad_request"),
             ({"scheme": "wlcrc-16"}, 400, "bad_request"),
             ({"scheme": "wlcrc-16", "trace": {"digest": "f" * 64}}, 404, "unknown_trace"),

@@ -129,7 +129,7 @@ def test_wlcrc_data_region_never_exceeds_baseline_on_fresh_writes(seed):
     weights = baseline.energy_model.write_energy_per_state
     base_states = baseline.encode_reference(lines)
     wlcrc_states = wlcrc.encode_reference(lines)[:, :256]
-    data_mask = ~np.tile(wlcrc.word_aux_mask(), 8)
+    data_mask = ~wlcrc.geometries[0].aux_mask
     base_cost = (weights[base_states] * (base_states != 0) * data_mask).sum()
     wlcrc_cost = (weights[wlcrc_states] * (wlcrc_states != 0) * data_mask).sum()
     assert wlcrc_cost <= base_cost + 1e-6
