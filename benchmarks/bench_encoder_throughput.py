@@ -3,9 +3,9 @@
 Every compression front-end now exposes a vectorised ``compress_batch`` /
 ``decompress_batch`` pair (``src/repro/compression/kernels.py``) that the
 encoders consume whole layout groups at a time; the scalar
-``compress_line`` path survives as a thin per-line wrapper for the PCM
-device model and the round-trip tests.  This benchmark measures both paths
-on the same biased-content lines -- lines/s per scheme plus the
+``compress_line`` path survives as a thin per-line wrapper for the
+round-trip tests and this benchmark's scalar leg.  This benchmark measures
+both paths on the same biased-content lines -- lines/s per scheme plus the
 batch-over-scalar speedup -- and asserts the kernel contract:
 
 * the batch streams are bit-identical to the scalar streams;
@@ -198,7 +198,7 @@ def bench_encoder_throughput(benchmark):
         # DIN payload encode: the 3-to-4 expansion plus the batched BCH
         # parity (one GF(2) reduction over the whole batch) against the
         # per-line wrapper.  DIN has no public scalar API -- the wrapper is
-        # what the PCM device model uses for single-line writes.
+        # this comparison's scalar reference.
         encoder = make_scheme("din")
         words = _din_eligible_lines(encoder, pool, lines)
         sub = LineBatch(words)

@@ -13,8 +13,6 @@ baseline needed to reproduce its evaluation:
 * :mod:`repro.coding` -- the write-encoding schemes: differential-write
   baseline, FNW, FlipMin, 6cosets, 4cosets, 3cosets, restricted cosets, DIN,
   COC+4cosets, WLC+cosets and WLCRC.
-* :mod:`repro.pcm` / :mod:`repro.memory` / :mod:`repro.cache` -- the PCM
-  device, memory-controller and cache-hierarchy substrates.
 * :mod:`repro.workloads` -- synthetic SPEC2006/PARSEC-like write traces.
 * :mod:`repro.evaluation` -- the trace-driven evaluation harness and the
   per-figure experiment drivers.
@@ -38,7 +36,6 @@ from .core import (
     EnergyModel,
     EvaluationConfig,
     LineBatch,
-    SystemConfig,
     WriteMetrics,
 )
 from .coding import available_schemes, make_scheme
@@ -51,7 +48,6 @@ __all__ = [
     "EnergyModel",
     "EvaluationConfig",
     "LineBatch",
-    "SystemConfig",
     "WriteMetrics",
     "available_schemes",
     "evaluate_trace",

@@ -17,10 +17,12 @@ hook the base class provides:
   encoding the old value against a fresh (all-RESET) background, mirroring the
   trace format used by the paper (each trace record carries the value to be
   written and the value being overwritten).
-* :meth:`WriteEncoder.encode_against_stored` -- the stateful path used by the
-  PCM device model, where the caller supplies the actual stored states.
+* :meth:`WriteEncoder.encode_against_stored` -- the stateful path, where the
+  caller supplies the actual stored states; :meth:`encode_batch` runs it
+  against the reconstructed old states, and the selection oracle and the
+  round-trip tests call it directly.
 * :meth:`WriteEncoder.decode_states` -- recover the original data from stored
-  states, used by round-trip tests and by the PCM read path.
+  states, used by the round-trip tests and perfbench's decode samples.
 """
 
 from __future__ import annotations

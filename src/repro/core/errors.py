@@ -23,9 +23,5 @@ class TraceError(ReproError):
     """Raised for malformed write traces or trace files."""
 
 
-class SimulationError(ReproError):
-    """Raised by the PCM device / memory-controller simulation layer."""
-
-
 class BenchError(ReproError):
     """Raised by the benchmark-orchestration subsystem (:mod:`repro.bench`)."""

@@ -1014,19 +1014,3 @@ def shutdown_shared_runners() -> None:
 
 atexit.register(shutdown_shared_runners)
 
-
-# ---------------------------------------------------------------------- #
-# Convenience wrappers
-# ---------------------------------------------------------------------- #
-def parallel_map_metrics(
-    units: Sequence[WorkUnit], n_jobs: int = 1
-) -> List[WriteMetrics]:
-    """One-shot :meth:`ParallelRunner.map` with a throwaway runner."""
-    return ParallelRunner(n_jobs).map(units)
-
-
-def parallel_reduce_metrics(
-    units: Sequence[WorkUnit], n_jobs: int = 1
-) -> Dict[Hashable, WriteMetrics]:
-    """One-shot :meth:`ParallelRunner.run` with a throwaway runner."""
-    return ParallelRunner(n_jobs).run(units)

@@ -5,8 +5,8 @@ sequence of memory write transactions, each carrying both the value to be
 written and the value being overwritten (so that differential write can be
 evaluated without replaying the whole history).  :class:`WriteTrace` stores
 the two sides as :class:`~repro.core.line.LineBatch` objects plus optional
-per-request addresses (used by the memory-controller / PCM-device path) and a
-metadata dictionary.
+per-request addresses (recorded by the external-trace ingest of
+:mod:`repro.traces.ingest`) and a metadata dictionary.
 
 Traces can be saved to and loaded from two formats, dispatched on the file
 suffix: compressed ``.npz`` archives (the historical format) and the raw
